@@ -14,9 +14,10 @@ from .homframe import (Certificate, Mor, Mor2x2, Node, base_node, compose, dual,
                        extend_node, hom_lattice, kani_degree, kernel_ideal,
                        make_automorphism, mat_compose, node_from_ideal, transpose)
 from .isom import (CompletionPreconditionError, CompletionResult, QuadrupleReport,
-                   is_isomorphic_order, isom_g_products, isom_two_products,
-                   isomorphism_E0, isomorphism_completion, low_discriminant_isomorphism,
-                   sum_kernel_ideal, swap_with_E0, verify_ideal_quadruple)
+                   VerificationError, is_isomorphic_order, isom_g_products,
+                   isom_two_products, isomorphism_E0, isomorphism_completion,
+                   low_discriminant_isomorphism, sum_kernel_ideal, swap_with_E0,
+                   verify_ideal_quadruple)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

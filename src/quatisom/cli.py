@@ -11,12 +11,11 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .homframe import base_node, kani_degree, node_from_ideal
-from .isom import (CompletionPreconditionError, isom_g_products, isom_two_products,
-                   isomorphism_E0, isomorphism_completion, low_discriminant_isomorphism,
-                   sum_kernel_ideal, verify_ideal_quadruple)
+from .isom import (CompletionPreconditionError, VerificationError, isom_g_products,
+                   isom_two_products, isomorphism_E0, isomorphism_completion,
+                   low_discriminant_isomorphism, sum_kernel_ideal, verify_ideal_quadruple)
 from .orders import Ideal, SamplingBudgetError, random_left_ideal, standard_extremal_order
 from .quat import QuatAlgebra, is_prime
 from .serialization import (certificate_to_json, dumps, ideal_from_json, ideal_to_json,
@@ -189,6 +188,9 @@ def _run_one(func, args) -> int:
     except (SamplingBudgetError, CompletionPreconditionError) as err:
         print(f"algorithm failed: {err}", file=sys.stderr)
         return EXIT_ALGORITHM_FAILED
+    except VerificationError as err:
+        print(f"verification failed: {err}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 def main(argv=None) -> int:
@@ -231,19 +233,16 @@ def main(argv=None) -> int:
     if trials <= 1:
         return _run_one(args.func, args)
 
-    # independent seeded trials, run concurrently; all must succeed
+    # independent seeded trials, one after another; all must succeed
     import copy
 
-    def run_trial(t: int) -> int:
+    codes = []
+    for t in range(trials):
         sub_args = copy.copy(args)
-        base_seed = args.seed if args.seed is not None else 0
-        sub_args.seed = base_seed + t
+        sub_args.seed = (args.seed if args.seed is not None else 0) + t
         if sub_args.out:
             sub_args.out = f"{args.out}.trial{t}"
-        return _run_one(args.func, sub_args)
-
-    with ThreadPoolExecutor(max_workers=min(trials, 8)) as pool:
-        codes = list(pool.map(run_trial, range(trials)))
+        codes.append(_run_one(args.func, sub_args))
     return max(codes)
 
 

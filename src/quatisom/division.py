@@ -1,15 +1,18 @@
-"""Exact division of principal ideals by connecting ideals.
+"""Exact division of ideals by ideals, in closed form.
 
-Solves I*J = d*O1 for the unique left O2-ideal J via the characterization
-J = {s in O1 n O2 : I*s <= O1*d}, reduced to a 16-equation integer linear
-system in 20 unknowns whose solution lattice projects onto J.
+In a maximal order every ideal is invertible: I*conj(I) = Nrd(I)*O_L(I)
+(Voight, Quaternion Algebras, GTM 288, ch. 16).  So the only lattice J with
+I*J = d*O1, for I a left O1-ideal, is J = conj(I)*d/Nrd(I), and the only
+lattice with I*J = O1*mu is J = conj(I)*mu/Nrd(I).  Neither formula needs J
+to exist: each result is checked to be integral (J <= O2, where O2 should
+be O_R(I)) and to satisfy the product identity, and NotDivisibleError is
+raised otherwise.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
 
-from .linalg import kernel_basis, hnf_rows
 from .orders import Ideal, Lattice4, Order, multiply_ideals
 from .quat import Quaternion
 
@@ -18,78 +21,29 @@ class NotDivisibleError(ArithmeticError):
     """No ideal J satisfies I*J = d*O1 (precondition violated)."""
 
 
-def integer_ideal_divide(o1: Order, o2: Order, ideal: Ideal, d: int) -> Ideal:
-    """The unique left O2-ideal J with I*J = d*O1.
-
-    Builds the system u_j * (sum x_i v_i) = d * (sum y_ij e_i) over bases
-    (e) of O1, (u) of I, (v) of O1 n O2, takes the integer solution lattice
-    and projects it to the x-coordinates.
-    """
-    if d == 0:
-        raise ValueError("d must be nonzero")
-    alg = o1.alg
-    e_basis = o1.basis()
-    u_basis = ideal.basis()
-    inter = o1.lattice.intersect(o2.lattice)
-    v_basis = inter.basis()
-
-    # Row t of the system matrix is coordinate t (of 16 quaternion coords,
-    # 4 per equation E_j); columns are x_0..x_3, y_00..y_33.
-    cols: list[list] = []
-    for i in range(4):
-        col = []
-        for j in range(4):
-            prod = u_basis[j] * v_basis[i]
-            col.extend(prod.coords())
-        cols.append(col)
-    for i in range(4):
-        for j in range(4):
-            col = []
-            for jj in range(4):
-                if jj == j:
-                    col.extend((-d * c for c in e_basis[i].coords()))
-                else:
-                    col.extend((0, 0, 0, 0))
-            cols.append(col)
-
-    den = 1
-    for col in cols:
-        for v in col:
-            den = lcm(den, v.denominator) if hasattr(v, "denominator") else den
-    mat = [[int(cols[c][r] * den) for c in range(20)] for r in range(16)]
-
-    ker = kernel_basis(mat)
-    if len(ker) != 4:
-        raise NotDivisibleError(
-            f"solution lattice of the 20-unknown system has rank {len(ker)}, expected 4")
-
-    x_rows = hnf_rows([vec[:4] for vec in ker])
-    if len(x_rows) != 4:
-        raise NotDivisibleError("x-projection of the solution lattice is rank deficient")
-
-    gens = []
-    for row in x_rows:
-        gens.append(sum((c * b for c, b in zip(row[1:], v_basis[1:])), row[0] * v_basis[0]))
-    j_ideal = Ideal(Lattice4.from_quaternions(alg, gens), left=o2)
-
-    product = multiply_ideals(ideal, j_ideal, check_compatible=False)
-    if product.lattice != o1.lattice.scale(abs(d)):
-        raise NotDivisibleError("I*J != d*O1: no exact divisor exists for this input")
+def _checked_divisor(o2: Order, ideal: Ideal, lat: Lattice4, target: Lattice4) -> Ideal:
+    """The left O2-ideal on lat, after checking lat <= O2 and I*lat = target."""
+    if not o2.lattice.contains_lattice(lat):
+        raise NotDivisibleError("the divisor is not integral: no exact divisor exists")
+    j_ideal = Ideal(lat, left=o2)
+    if multiply_ideals(ideal, j_ideal, check_compatible=False).lattice != target:
+        raise NotDivisibleError("I*J differs from the dividend: no exact divisor exists")
     return j_ideal
 
 
-def principal_ideal_divide(o1: Order, o2: Order, mu: Quaternion, ideal: Ideal) -> Ideal:
-    """The unique left O2-ideal J with O1*mu = I*J.
+def integer_ideal_divide(o1: Order, o2: Order, ideal: Ideal, d: int) -> Ideal:
+    """The unique left O2-ideal J with I*J = d*O1: J = conj(I)*d/Nrd(I)."""
+    if d == 0:
+        raise ValueError("d must be nonzero")
+    lat = ideal.lattice.conjugate().scale(Fraction(abs(d), ideal.nrd()))
+    return _checked_divisor(o2, ideal, lat, o1.lattice.scale(abs(d)))
 
-    Reduces to the integer case with inputs mu^-1 O1 mu, O2, Nrd(mu),
-    conjugate(mu)*I.
-    """
+
+def principal_ideal_divide(o1: Order, o2: Order, mu: Quaternion, ideal: Ideal) -> Ideal:
+    """The unique left O2-ideal J with O1*mu = I*J: J = conj(I)*mu/Nrd(I)."""
     if mu.is_zero():
         raise ValueError("mu must be nonzero")
-    n = mu.reduced_norm()
-    if n.denominator != 1:
+    if mu.reduced_norm().denominator != 1:
         raise ValueError("mu must have integral reduced norm")
-    mu_inv = mu.inverse()
-    o1_conj = Order(o1.lattice.lmul_q(mu_inv).rmul_q(mu))
-    ideal_shift = Ideal(ideal.lattice.lmul_q(mu.conjugate()), right=ideal._right)
-    return integer_ideal_divide(o1_conj, o2, ideal_shift, int(n))
+    lat = ideal.lattice.conjugate().rmul_q(mu / ideal.nrd())
+    return _checked_divisor(o2, ideal, lat, o1.lattice.rmul_q(mu))

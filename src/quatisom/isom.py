@@ -31,6 +31,17 @@ class CompletionPreconditionError(RuntimeError):
     quotient by the direct sum of the kernels."""
 
 
+class VerificationError(Exception):
+    """A computed result failed its final check: an internal fault, never
+    retried (it is neither a ValueError nor a budget or precondition error)."""
+
+
+def _check(ok: bool, what: str):
+    """Raise VerificationError unless ok; unlike assert, survives python -O."""
+    if not ok:
+        raise VerificationError(what)
+
+
 @dataclass
 class CompletionResult:
     matrix: Mor2x2
@@ -45,7 +56,7 @@ def sum_kernel_ideal(i1: Ideal, i2: Ideal) -> Ideal:
     if i1.left_order() != i2.left_order():
         raise ValueError("kernel ideals must share a left order")
     out = Ideal(i1.lattice.scale(n2).add(i2.lattice.scale(n1)), left=i1._left)
-    assert out.nrd() == n1 * n2
+    _check(out.nrd() == n1 * n2, "the sum of the kernel ideals has the wrong norm")
     return out
 
 
@@ -99,8 +110,9 @@ def _split_xi(j11: Ideal, j21: Ideal, d11: int, d21: int, xi: Quaternion):
             if not c11.is_zero() and not c21.is_zero():
                 xi11, xi21 = c11, c21
                 break
-    assert xi11 * d21 - xi21 * d11 == xi
-    assert j11.lattice.contains(xi11) and j21.lattice.contains(xi21)
+    _check(xi11 * d21 - xi21 * d11 == xi, "the split of xi does not sum to xi")
+    _check(j11.lattice.contains(xi11) and j21.lattice.contains(xi21),
+           "the split of xi leaves J11 or J21")
     return xi11, xi21
 
 
@@ -154,14 +166,14 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal) -> Completi
         b22 = b21 * s.conjugate() * xi21.conjugate() / (d21 * ns)
         mat = Mor2x2(m11=Mor(n1, n1p, b11), m12=Mor(n2, n1p, b12),
                      m21=Mor(n1, n2p, b21), m22=Mor(n2, n2p, b22))
-        assert kani_degree(mat) == 1, "completion assembled a non-isomorphism"
+        _check(kani_degree(mat) == 1, "completion assembled a non-isomorphism")
 
         # the divisor W is a left O_R(I11)-ideal; certificates carry I12 = conj(W)
         i12 = principal_ideal_divide(o2, i11.right_order(), xi11, j11).conjugate()
         i22 = principal_ideal_divide(o2, i21.right_order(), xi21, j21).conjugate()
         cert = Certificate(i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
                            xi11=xi11, xi21=xi21, d11=d11, d21=d21)
-        assert cert.verify(o2)
+        _check(cert.verify(o2), "the completion certificate does not verify")
         return CompletionResult(matrix=mat, certificate=cert)
 
     raise CompletionPreconditionError(
@@ -223,7 +235,7 @@ def isomorphism_E0(n1, n2, rng: random.Random | None = None, *,
     g_mat = low_discriminant_isomorphism(n3, ell_low, rng).matrix
     g_swapped = swap_rows(g_mat)  # E0^2 -> E0 x E3
     out = mat_compose(f_mat, g_swapped)
-    assert kani_degree(out) == 1
+    _check(kani_degree(out) == 1, "the composed matrix is not an isomorphism")
     return out
 
 
@@ -233,7 +245,7 @@ def isom_two_products(n1, n2, n1p, n2p, rng: random.Random | None = None) -> Mor
     phi = transpose(isomorphism_E0(n1, n2, rng))     # E1 x E2 -> E0^2
     psi = isomorphism_E0(n1p, n2p, rng)              # E0^2 -> E1' x E2'
     out = mat_compose(psi, phi)
-    assert kani_degree(out) == 1
+    _check(kani_degree(out) == 1, "the composed matrix is not an isomorphism")
     return out
 
 
@@ -244,7 +256,7 @@ def swap_with_E0(n1, n2, rng: random.Random | None = None, *, ell: int = 3) -> M
     xi1 = low_discriminant_isomorphism(n1, ell, rng).matrix  # E0^2 -> E1 x E0
     xi2 = low_discriminant_isomorphism(n2, ell, rng).matrix  # E0^2 -> E2 x E0
     out = mat_compose(xi2, transpose(xi1))
-    assert kani_degree(out) == 1
+    _check(kani_degree(out) == 1, "the composed matrix is not an isomorphism")
     return out
 
 

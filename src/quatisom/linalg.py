@@ -51,11 +51,16 @@ def hnf(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     H is upper echelon with positive pivots and entries above each pivot
     reduced into [0, pivot).  Zero rows sink to the bottom.
     """
+    return _hnf(mat, transform=True)
+
+
+def _hnf(mat: IntMatrix, transform: bool) -> tuple[IntMatrix, IntMatrix | None]:
+    """The elimination behind `hnf`; the transform U is None unless requested."""
     if not mat or not mat[0]:
         raise ValueError("hnf of empty matrix")
     h = [row[:] for row in mat]
     nrows, ncols = len(h), len(h[0])
-    u = identity_matrix(nrows)
+    u = identity_matrix(nrows) if transform else None
     piv_row = 0
     for col in range(ncols):
         if piv_row >= nrows:
@@ -70,7 +75,8 @@ def hnf(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             continue
         if pivot != piv_row:
             h[piv_row], h[pivot] = h[pivot], h[piv_row]
-            u[piv_row], u[pivot] = u[pivot], u[piv_row]
+            if transform:
+                u[piv_row], u[pivot] = u[pivot], u[piv_row]
         for r in range(piv_row + 1, nrows):
             while h[r][col] != 0:
                 a, b = h[piv_row][col], h[r][col]
@@ -78,28 +84,31 @@ def hnf(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 # rows (piv, r) <- (x*piv + y*r, -(b/g)*piv + (a/g)*r)
                 bp, ap = b // g, a // g
                 hp, hr = h[piv_row], h[r]
-                up, ur = u[piv_row], u[r]
                 for c in range(ncols):
                     hp[c], hr[c] = x * hp[c] + y * hr[c], -bp * hp[c] + ap * hr[c]
-                for c in range(nrows):
-                    up[c], ur[c] = x * up[c] + y * ur[c], -bp * up[c] + ap * ur[c]
+                if transform:
+                    up, ur = u[piv_row], u[r]
+                    for c in range(nrows):
+                        up[c], ur[c] = x * up[c] + y * ur[c], -bp * up[c] + ap * ur[c]
         if h[piv_row][col] < 0:
             h[piv_row] = [-v for v in h[piv_row]]
-            u[piv_row] = [-v for v in u[piv_row]]
+            if transform:
+                u[piv_row] = [-v for v in u[piv_row]]
         # reduce entries above the pivot into [0, pivot)
         piv = h[piv_row][col]
         for r in range(piv_row):
             q = h[r][col] // piv
             if q:
                 h[r] = [hv - q * pv for hv, pv in zip(h[r], h[piv_row])]
-                u[r] = [uv - q * pv for uv, pv in zip(u[r], u[piv_row])]
+                if transform:
+                    u[r] = [uv - q * pv for uv, pv in zip(u[r], u[piv_row])]
         piv_row += 1
     return h, u
 
 
 def hnf_rows(mat: IntMatrix) -> IntMatrix:
-    """Nonzero rows of the Hermite normal form (no transform)."""
-    h, _ = hnf(mat)
+    """Nonzero rows of the Hermite normal form (no transform is built)."""
+    h, _ = _hnf(mat, transform=False)
     return [row for row in h if any(row)]
 
 

@@ -37,6 +37,21 @@ def _qmul_int(x, y, p):
     )
 
 
+def _in_span(rows, v, scale: int = 1) -> bool:
+    """Whether the integer vector v is an integer combination of scale*rows,
+    where rows is a full-rank upper-triangular (HNF) basis."""
+    v = list(v)
+    for r, row in enumerate(rows):
+        piv = scale * row[r]
+        x, rem = divmod(v[r], piv)
+        if rem:
+            return False
+        if x:
+            for c in range(r + 1, 4):
+                v[c] -= x * scale * row[c]
+    return True
+
+
 def _det4(m) -> int:
     """Determinant of a 4x4 integer matrix by cofactor expansion."""
 
@@ -75,18 +90,6 @@ class Lattice4:
         self.mat = tuple(tuple(v // g for v in row) for row in reduced)
         self.den = den // g
 
-    @classmethod
-    def from_quaternions(cls, alg: QuatAlgebra, quats) -> "Lattice4":
-        dens = []
-        ints = []
-        for q in quats:
-            co, d = q.int_coords()
-            ints.append(co)
-            dens.append(d)
-        den = lcm(*dens) if dens else 1
-        rows = [[c * (den // d) for c in co] for co, d in zip(ints, dens)]
-        return cls(alg, rows, den)
-
     def basis(self) -> list[Quaternion]:
         d = self.den
         return [self.alg.quaternion(Fraction(r[0], d), Fraction(r[1], d),
@@ -119,10 +122,12 @@ class Lattice4:
         return xs
 
     def contains(self, q: Quaternion) -> bool:
-        return all(x.denominator == 1 for x in self.coords_of(q))
+        co, d = q.int_coords()
+        return _in_span(self.mat, [c * self.den for c in co], d)
 
     def contains_lattice(self, other: "Lattice4") -> bool:
-        return all(self.contains(b) for b in other.basis())
+        return all(_in_span(self.mat, [v * self.den for v in row], other.den)
+                   for row in other.mat)
 
     def add(self, other: "Lattice4") -> "Lattice4":
         d = lcm(self.den, other.den)
@@ -234,14 +239,17 @@ class Order:
     def __init__(self, lattice: Lattice4):
         self.lattice = lattice
         self._units = None
-        basis = lattice.basis()
-        if not lattice.contains(lattice.alg.one()):
+        # basis element x = row/den: trace 2*row[0]/den, norm nrd(row)/den^2,
+        # and x*y lies in the lattice iff row_x*row_y is in den*span(rows)
+        p, mat, den = lattice.alg.p, lattice.mat, lattice.den
+        if not _in_span(mat, (den, 0, 0, 0)):
             raise ValueError("order must contain 1")
-        for x in basis:
-            if x.reduced_trace().denominator != 1 or x.reduced_norm().denominator != 1:
+        for x in mat:
+            nrd = x[0] ** 2 + x[1] ** 2 + p * (x[2] ** 2 + x[3] ** 2)
+            if (2 * x[0]) % den or nrd % (den * den):
                 raise ValueError("order elements must have integral trace and norm")
-            for y in basis:
-                if not lattice.contains(x * y):
+            for y in mat:
+                if not _in_span(mat, _qmul_int(x, y, p), den):
                     raise ValueError("lattice is not closed under multiplication")
 
     @property
@@ -297,10 +305,17 @@ class Order:
         return Ideal(self.lattice, left=self, right=self, nrd=1)
 
 
+_EXTREMAL_ORDERS: dict[int, Order] = {}
+
+
 def standard_extremal_order(alg: QuatAlgebra) -> Order:
-    """The maximal order O0 = <1, i, (i+j)/2, (1+k)/2> for p = 3 mod 4."""
-    rows = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
-    return Order(Lattice4(alg, rows, 2))
+    """The maximal order O0 = <1, i, (i+j)/2, (1+k)/2> for p = 3 mod 4, built
+    once per p."""
+    o0 = _EXTREMAL_ORDERS.get(alg.p)
+    if o0 is None:
+        rows = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
+        o0 = _EXTREMAL_ORDERS[alg.p] = Order(Lattice4(alg, rows, 2))
+    return o0
 
 
 class Ideal:

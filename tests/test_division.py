@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from quatisom import (NotDivisibleError, integer_ideal_divide, multiply_ideals,
-                      principal_ideal, principal_ideal_divide, random_left_ideal)
+from quatisom import (NotDivisibleError, QuatAlgebra, integer_ideal_divide, multiply_ideals,
+                      principal_ideal, principal_ideal_divide, random_left_ideal,
+                      standard_extremal_order)
 
 
 def test_trivial_division(o0_103):
@@ -88,3 +90,26 @@ def test_division_at_503(o0_503):
     o2 = i.right_order()
     j = integer_ideal_divide(o0_503, o2, i, i.nrd())
     assert j.lattice == i.lattice.conjugate()
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_closed_form_division_random_ideals(p):
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    rng = random.Random(p)
+    for ell, m in ((3, 2), (5, 2), (3, 4), (7, 1)):
+        i = random_left_ideal(o0, ell, m, rng)
+        o2, n = i.right_order(), i.nrd()
+        for k in (1, 2, 5):
+            j = integer_ideal_divide(o0, o2, i, k * n)
+            assert j.lattice == i.lattice.conjugate().scale(k)
+        for d in (2, 11, n + 1):
+            assert gcd(d, n) == 1
+            with pytest.raises(NotDivisibleError):
+                integer_ideal_divide(o0, o2, i, d)
+        coeffs = [rng.randrange(-5, 6) for _ in range(4)]
+        if not any(coeffs):
+            coeffs[0] = 1
+        mu = sum((c * b for c, b in zip(coeffs[1:], i.basis()[1:])), coeffs[0] * i.basis()[0])
+        j = principal_ideal_divide(o0, o2, mu, i)
+        assert j.lattice == i.lattice.conjugate().rmul_q(mu).scale(Fraction(1, n))
+        assert multiply_ideals(i, j, check_compatible=False).lattice == o0.lattice.rmul_q(mu)

@@ -1,12 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quatisom import (CompletionPreconditionError, base_node, isom_g_products,
-                      isom_two_products, isomorphism_E0, isomorphism_completion,
-                      kani_degree, kernel_ideal, low_discriminant_isomorphism,
-                      node_from_ideal, principal_ideal, random_left_ideal,
-                      sum_kernel_ideal, swap_with_E0, verify_ideal_quadruple)
+import quatisom
+from quatisom import (CompletionPreconditionError, SamplingBudgetError, VerificationError,
+                      base_node, isom_g_products, isom_two_products, isomorphism_E0,
+                      isomorphism_completion, kani_degree, kernel_ideal,
+                      low_discriminant_isomorphism, node_from_ideal, principal_ideal,
+                      random_left_ideal, sum_kernel_ideal, swap_with_E0,
+                      verify_ideal_quadruple)
 from quatisom.homframe import transpose, mat_compose
 from quatisom.isom import is_isomorphic_order
 
@@ -212,3 +218,37 @@ def test_isom_g_base_case(o0_103):
     chain = isom_g_products(nodes[:2], nodes[2:], rng)
     assert len(chain) == 1 and chain[0][0] == 0
     assert kani_degree(chain[0][1]) == 1
+
+
+_PATCHED_DEGREE_SCRIPT = """
+import random, sys
+if __debug__:
+    sys.exit(3)  # not running under -O
+import quatisom.isom as isom
+from quatisom import (QuatAlgebra, VerificationError, base_node, node_from_ideal,
+                      random_left_ideal, standard_extremal_order, sum_kernel_ideal)
+isom.kani_degree = lambda mat: 2
+o0 = standard_extremal_order(QuatAlgebra(103))
+rng = random.Random(5)
+i11 = random_left_ideal(o0, 3, 3, rng)
+i21 = random_left_ideal(o0, 5, 2, rng)
+n2 = node_from_ideal(sum_kernel_ideal(i11, i21))
+try:
+    isom.isomorphism_completion(base_node(o0.alg), node_from_ideal(i11), n2,
+                                node_from_ideal(i21), i11, i21)
+except VerificationError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_verification_survives_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(quatisom.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _PATCHED_DEGREE_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verification_error_is_not_retried():
+    for caught in (ValueError, SamplingBudgetError, CompletionPreconditionError):
+        assert not issubclass(VerificationError, caught)

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quatisom import (Ideal, Lattice4, connecting_ideal, ideal_norm, multiply_ideals,
                       principal_ideal, random_left_ideal, two_sided_prime, unit_orders)
-from quatisom.orders import Order, left_order
+from quatisom.orders import Order, _det4, left_order
 
 
 def test_standard_order(alg103, o0_103):
@@ -145,3 +146,53 @@ def test_nrd_index_consistency(o0_103):
         assert ideal.lattice.index_in(o0_103.lattice) == n * n
         for b in ideal.basis():
             assert b.reduced_norm() % n == 0
+
+
+@pytest.mark.parametrize("rows, den, message", [
+    # Z<2, i, j, k>: a lattice without 1
+    ([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1, "must contain 1"),
+    # Z<1, i/2, j, k>: i/2 has norm 1/4
+    ([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], 2, "integral trace and norm"),
+    # Z<1, 2i, j, k>: integral traces and norms, but j*k = p*i has odd i-coordinate
+    ([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1, "not closed"),
+])
+def test_order_rejects_non_orders(alg103, rows, den, message):
+    with pytest.raises(ValueError, match=message):
+        Order(Lattice4(alg103, rows, den))
+
+
+def _contains_reference(lat, q):
+    """Membership through the rational coordinates on the basis."""
+    return all(x.denominator == 1 for x in lat.coords_of(q))
+
+
+_small = st.integers(-12, 12)
+
+
+@st.composite
+def _lattices(draw, alg):
+    rows = draw(st.lists(st.lists(_small, min_size=4, max_size=4), min_size=4, max_size=4))
+    assume(_det4(rows) != 0)
+    return Lattice4(alg, rows, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_contains_matches_rational_coordinates(alg103, data):
+    lat = data.draw(_lattices(alg103))
+    other = data.draw(_lattices(alg103))
+    # an integer combination of the basis over a small divisor, so both
+    # answers occur often
+    coeffs = data.draw(st.lists(_small, min_size=4, max_size=4))
+    m = data.draw(st.integers(1, 3))
+    q = sum((c * b for c, b in zip(coeffs[1:], lat.basis()[1:])), coeffs[0] * lat.basis()[0]) / m
+    assert lat.contains(q) == _contains_reference(lat, q)
+    if data.draw(st.booleans()):
+        # a sublattice (or a superlattice, for m > 1) of lat
+        combo = data.draw(st.lists(st.lists(_small, min_size=4, max_size=4),
+                                   min_size=4, max_size=4))
+        assume(_det4(combo) != 0)
+        rows = [[sum(c[t] * lat.mat[t][col] for t in range(4)) for col in range(4)]
+                for c in combo]
+        other = Lattice4(alg103, rows, lat.den * m)
+    assert lat.contains_lattice(other) == all(_contains_reference(lat, b) for b in other.basis())
