@@ -17,6 +17,17 @@ from .orders import Ideal, Lattice4, Order, multiply_ideals, standard_extremal_o
 from .quat import QuatAlgebra, Quaternion
 
 
+class VerificationError(Exception):
+    """A computed result failed its final check: an internal fault, never
+    retried (it is neither a ValueError nor a budget or precondition error)."""
+
+
+def _check(ok: bool, what: str):
+    """Raise VerificationError unless ok; unlike assert, survives python -O."""
+    if not ok:
+        raise VerificationError(what)
+
+
 @dataclass(frozen=True)
 class Node:
     """A curve stand-in: maximal order (= End) plus a frame ideal from O0."""
@@ -82,8 +93,7 @@ class Mor:
 
     def __post_init__(self):
         if not self.elem.is_zero():
-            lat = self.dst.frame.lattice.rmul_q(self.elem)
-            if not self.src.frame.lattice.contains_lattice(lat):
+            if not self.src.frame.lattice.contains_rmul(self.dst.frame.lattice, self.elem):
                 raise ValueError("lattice condition frame(dst)*elem <= frame(src) fails")
 
     @property
@@ -94,7 +104,7 @@ class Mor:
         if self.elem.is_zero():
             return 0
         d = self.elem.reduced_norm() * self.dst.frame_norm() / self.src.frame_norm()
-        assert d.denominator == 1, "degree must be an integer for a valid morphism"
+        _check(d.denominator == 1, "degree must be an integer for a valid morphism")
         return int(d)
 
     def is_zero(self) -> bool:
@@ -177,7 +187,7 @@ def kani_degree(mat: Mor2x2) -> int:
     d21, d22 = mat.m21.degree(), mat.m22.degree()
     mixed = add_mor(compose(dual(mat.m12), mat.m11), compose(dual(mat.m22), mat.m21))
     val = (d11 + d21) * (d12 + d22) - mixed.degree()
-    assert val >= 0, "Kani degree must be non-negative"
+    _check(val >= 0, "Kani degree must be non-negative")
     return val
 
 

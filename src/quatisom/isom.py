@@ -12,34 +12,23 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 from .division import principal_ideal_divide
-from .homframe import (Certificate, Mor, Mor2x2, base_node, dual, extend_node,
-                       kani_degree, mat_compose, node_from_ideal, swap_rows, transpose)
+from .homframe import (Certificate, Mor, Mor2x2, VerificationError,  # noqa: F401 (re-exported)
+                       _check, base_node, dual, extend_node, kani_degree, mat_compose,
+                       node_from_ideal, swap_rows, transpose)
 from .linalg import solve_integer
 from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
-from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, lattice_nrd,
-                     multiply_ideals, principal_ideal, standard_extremal_order,
-                     two_sided_prime)
+from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, multiply_ideals,
+                     principal_ideal, standard_extremal_order, two_sided_prime)
 from .quat import Quaternion
 
 
 class CompletionPreconditionError(RuntimeError):
     """The shortest-vector test failed: the target is not isomorphic to the
     quotient by the direct sum of the kernels."""
-
-
-class VerificationError(Exception):
-    """A computed result failed its final check: an internal fault, never
-    retried (it is neither a ValueError nor a budget or precondition error)."""
-
-
-def _check(ok: bool, what: str):
-    """Raise VerificationError unless ok; unlike assert, survives python -O."""
-    if not ok:
-        raise VerificationError(what)
 
 
 @dataclass
@@ -61,10 +50,17 @@ def sum_kernel_ideal(i1: Ideal, i2: Ideal) -> Ideal:
 
 
 def _principal_generator(lat, order: Order) -> Quaternion | None:
-    """g with order*g = lat, or None when lat is not left-principal."""
-    target = lattice_nrd(lat)
+    """g with order*g = lat, or None when lat is not left-principal.
+
+    order*g has index Nrd(g)^2 in order, so the target norm is the square
+    root of that index; the generators are the elements of minimal norm.
+    """
+    idx = lat.index_in(order.lattice)
+    num, den = isqrt(idx.numerator), isqrt(idx.denominator)
+    if num * num != idx.numerator or den * den != idx.denominator:
+        return None
     gen, val = lat.min_nonzero_norm()
-    if val != target:
+    if val != Fraction(num, den):
         return None
     if order.lattice.rmul_q(gen) != lat:
         return None

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 IntMatrix = list[list[int]]
+Form = list[list[int | Fraction]]  # a quadratic form: integer or rational entries
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -278,17 +279,17 @@ def is_odd_prime_power(n: int) -> tuple[bool, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def gram_of(basis: IntMatrix, form: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gram matrix basis * form * basis^T, exact."""
+def gram_of(basis: IntMatrix, form: Form) -> list[list[int | Fraction]]:
+    """Gram matrix basis * form * basis^T, exact; integer for an integer form."""
     n = len(basis)
     d = len(form)
     fb = []
     for row in basis:
-        fb.append([sum(Fraction(row[t]) * form[t][j] for t in range(d)) for j in range(d)])
+        fb.append([sum(row[t] * form[t][j] for t in range(d)) for j in range(d)])
     return [[sum(fb[i][t] * basis[j][t] for t in range(d)) for j in range(n)] for i in range(n)]
 
 
-def lll_reduce(basis: IntMatrix, form: list[list[Fraction]]) -> tuple[IntMatrix, IntMatrix]:
+def lll_reduce(basis: IntMatrix, form: Form) -> tuple[IntMatrix, IntMatrix]:
     """Exact integral LLL (delta = 3/4) of a full-rank basis under a positive
     definite rational form.
 
@@ -393,11 +394,12 @@ def _coord_range(center: Fraction, radius_sq: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-def enumerate_up_to(basis: IntMatrix, form: list[list[Fraction]], bound: Fraction):
+def enumerate_up_to(basis: IntMatrix, form: Form, bound: Fraction):
     """Yield (coeffs, value) for every nonzero lattice vector with form value <= bound.
 
     Only one of each +-v pair is produced (last nonzero coefficient positive).
-    Exact Fincke-Pohst on the given (ideally LLL-reduced) basis.
+    Exact Fincke-Pohst on the given (ideally LLL-reduced) basis; the values
+    are Fractions, also for an integer form.
     """
     n = len(basis)
     g = gram_of(basis, form)
@@ -406,9 +408,9 @@ def enumerate_up_to(basis: IntMatrix, form: list[list[Fraction]], bound: Fractio
     lmat = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         lmat[i][i] = Fraction(1)
-        dvec[i] = g[i][i]
+        dvec[i] = Fraction(g[i][i])
         for j in range(i):
-            lmat[i][j] = g[i][j] - sum(lmat[i][t] * lmat[j][t] * dvec[t] for t in range(j))
+            lmat[i][j] = Fraction(g[i][j]) - sum(lmat[i][t] * lmat[j][t] * dvec[t] for t in range(j))
             lmat[i][j] /= dvec[j]
             dvec[i] -= lmat[i][j] ** 2 * dvec[j]
         if dvec[i] <= 0:
@@ -439,7 +441,7 @@ def enumerate_up_to(basis: IntMatrix, form: list[list[Fraction]], bound: Fractio
     return results
 
 
-def shortest_vector(basis: IntMatrix, form: list[list[Fraction]]) -> tuple[list[int], list[int], Fraction]:
+def shortest_vector(basis: IntMatrix, form: Form) -> tuple[list[int], list[int], Fraction]:
     """Nonzero lattice vector of minimal form value.
 
     Returns (coeffs, vector, value) where coeffs are coordinates on the input
@@ -449,7 +451,7 @@ def shortest_vector(basis: IntMatrix, form: list[list[Fraction]]) -> tuple[list[
     """
     red, trans = lll_reduce(basis, form)
     g = gram_of(red, form)
-    bound = min(g[i][i] for i in range(len(red)))
+    bound = Fraction(min(g[i][i] for i in range(len(red))))
     found = enumerate_up_to(red, form, bound)
     best_val = min(v for _, v in found)
     candidates = []
@@ -469,7 +471,7 @@ def shortest_vector(basis: IntMatrix, form: list[list[Fraction]]) -> tuple[list[
     return coeffs, vec, best_val
 
 
-def vectors_of_value(basis: IntMatrix, form: list[list[Fraction]], value: Fraction) -> list[list[int]]:
+def vectors_of_value(basis: IntMatrix, form: Form, value: Fraction) -> list[list[int]]:
     """All lattice vectors (both signs) of exact form value, in ambient coords."""
     red, _ = lll_reduce(basis, form)
     out = []

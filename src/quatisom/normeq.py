@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd, isqrt
 
@@ -201,6 +202,19 @@ def _two_squares(n: int) -> tuple[int, int] | None:
     return None
 
 
+def _sum_of_two_squares(m: int) -> tuple[int, int] | None:
+    """Some (x, y) with x^2 + y^2 = m > 0, or None: g times the primitive
+    solution for m/g^2, for the least g with g^2 | m that has one."""
+    roots = [1]  # every g with g^2 | m, from the factorization of m
+    for q, e in _factorize(m).items():
+        roots = [g * q ** k for g in roots for k in range(e // 2 + 1)]
+    for g in sorted(roots):
+        sol = cornacchia(1, m // (g * g))
+        if sol is not None:
+            return (g * sol[0], g * sol[1])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # RepresentInteger
 # ---------------------------------------------------------------------------
@@ -217,8 +231,14 @@ def represent_integer(o0: Order, n: int, rng: random.Random | None = None,
     For n >= p, (c, d) is sampled and only prime remainders (or twice a
     prime) are solved; another (c, d) is tried otherwise.  For n < p the
     candidates form a finite set: c = d = 0, or c, d in {-1, 0, 1} in the
-    half-integer case.  There any remainder is solved by Cornacchia, so every
-    element with a primitive remainder (gcd(x, y) = 1) can be found.
+    half-integer case, so the remainders are n, 4n, 4n - p and 4n - 2p.
+    When one of them is a primitive sum of two squares (gcd(x, y) = 1; 4n
+    never is), only primitive remainders are solved, by Cornacchia, so a
+    caller that needs an l-primitive element still gets one (at p = 103,
+    n = 81 gives an element outside 3*O0, not 9).  Otherwise a remainder m
+    is solved as g*(x, y), with (x, y) the primitive solution for m/g^2 and
+    g = 1, 2, ... the first g with g^2 | m that has one.  So every element of
+    norm n < p can be found.
 
     Raises SamplingBudgetError when the budget runs out.
     """
@@ -231,7 +251,12 @@ def represent_integer(o0: Order, n: int, rng: random.Random | None = None,
         return alg.one()
 
     cmax = isqrt(n // p)
-    solve = _two_squares if n >= p else (lambda rest: cornacchia(1, rest))
+    if n >= p:
+        solve = _two_squares
+    elif any(cornacchia(1, r) for r in (n, 4 * n - p, 4 * n - 2 * p) if r > 0):
+        solve = partial(cornacchia, 1)
+    else:
+        solve = _sum_of_two_squares
     for trial in range(budget):
         if trial % 2 == 0:
             # integer coordinates

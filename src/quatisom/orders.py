@@ -19,10 +19,11 @@ class SamplingBudgetError(RuntimeError):
     """A randomized search exhausted its retry budget."""
 
 
-def nrd_gram(p: int) -> list[list[Fraction]]:
-    """Gram matrix of the reduced norm form on coordinates (1, i, j, k)."""
+def nrd_gram(p: int) -> list[list[int]]:
+    """Gram matrix of the reduced norm form on coordinates (1, i, j, k): the
+    integer diagonal (1, 1, p, p)."""
     d = [1, 1, p, p]
-    return [[Fraction(d[i]) if i == j else Fraction(0) for j in range(4)] for i in range(4)]
+    return [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]
 
 
 def _qmul_int(x, y, p):
@@ -52,19 +53,26 @@ def _in_span(rows, v, scale: int = 1) -> bool:
     return True
 
 
+def _det3(a, b, c, d, e, f, g, h, i) -> int:
+    """Determinant of the 3x3 matrix with rows (a, b, c), (d, e, f), (g, h, i)."""
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _det4(m) -> int:
     """Determinant of a 4x4 integer matrix by cofactor expansion."""
-
-    def det3(a, b, c, d, e, f, g, h, i):
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
     (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
     return (
-        m00 * det3(m11, m12, m13, m21, m22, m23, m31, m32, m33)
-        - m01 * det3(m10, m12, m13, m20, m22, m23, m30, m32, m33)
-        + m02 * det3(m10, m11, m13, m20, m21, m23, m30, m31, m33)
-        - m03 * det3(m10, m11, m12, m20, m21, m22, m30, m31, m32)
+        m00 * _det3(m11, m12, m13, m21, m22, m23, m31, m32, m33)
+        - m01 * _det3(m10, m12, m13, m20, m22, m23, m30, m32, m33)
+        + m02 * _det3(m10, m11, m13, m20, m21, m23, m30, m31, m33)
+        - m03 * _det3(m10, m11, m12, m20, m21, m22, m30, m31, m32)
     )
+
+
+def _cofactor(m, r: int, c: int) -> int:
+    """(-1)^(r+c) times the minor of the 4x4 matrix m without row r and column c."""
+    x, y, z = [row[:c] + row[c + 1:] for t, row in enumerate(m) if t != r]
+    return (-1) ** (r + c) * _det3(*x, *y, *z)
 
 
 class Lattice4:
@@ -125,9 +133,19 @@ class Lattice4:
         co, d = q.int_coords()
         return _in_span(self.mat, [c * self.den for c in co], d)
 
+    def _contains_rows(self, rows, den: int) -> bool:
+        """Whether every row/den (integer rows) lies in the lattice."""
+        return all(_in_span(self.mat, [v * self.den for v in row], den) for row in rows)
+
     def contains_lattice(self, other: "Lattice4") -> bool:
-        return all(_in_span(self.mat, [v * self.den for v in row], other.den)
-                   for row in other.mat)
+        return self._contains_rows(other.mat, other.den)
+
+    def contains_rmul(self, other: "Lattice4", q: Quaternion) -> bool:
+        """Whether other*q <= self, tested on the four product rows without
+        building the lattice other*q."""
+        co, d = q.int_coords()
+        p = self.alg.p
+        return self._contains_rows([_qmul_int(row, co, p) for row in other.mat], other.den * d)
 
     def add(self, other: "Lattice4") -> "Lattice4":
         d = lcm(self.den, other.den)
@@ -390,16 +408,6 @@ def ideal_norm(ideal: Ideal) -> int:
     return ideal.nrd()
 
 
-def lattice_nrd(lat: Lattice4) -> Fraction:
-    """sqrt([O_L(L) : L]) as an exact rational, for possibly non-integral lattices."""
-    idx = lat.index_in(left_order(lat).lattice)
-    num, den = idx.numerator, idx.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError("lattice index is not a perfect square")
-    return Fraction(rn, rd)
-
-
 def multiply_ideals(i: Ideal, j: Ideal, *, check_compatible: bool = True) -> Ideal:
     """Product lattice I*J; with check_compatible, O_R(I) must equal O_L(J)."""
     if check_compatible and i.right_order() != j.left_order():
@@ -430,24 +438,22 @@ def connecting_ideal(o1: Order, o2: Order) -> Ideal:
 
 
 def two_sided_prime(order: Order) -> Ideal:
-    """The unique two-sided ideal of reduced norm p (the ramified prime)."""
-    p = order.alg.p
-    basis = order.basis()
-    # radical of O/pO: kernel of the trace form Trd(x * conj(y)) mod p
-    gram = [[int((x * y.conjugate()).reduced_trace()) % p for y in basis] for x in basis]
-    # kernel over F_p via integer kernel of [gram | p*I]
-    sys = [row[:] + [p if i == j else 0 for j in range(4)] for i, row in enumerate(gram)]
-    ker = kernel_basis([[sys[r][c] for c in range(8)] for r in range(4)])
-    gens = []
-    for vec in ker:
-        co = vec[:4]
-        if all(v % p == 0 for v in co):
-            continue
-        gens.append(sum((c * b for c, b in zip(co[1:], basis[1:])), co[0] * basis[0]))
-    lat = order.lattice.scale(p)
-    for g in gens:
-        lat = lat.add(order.lattice.rmul_q(g).mul(order.lattice))
-    out = Ideal(lat, left=order, right=order)
+    """The unique two-sided ideal of reduced norm p (the ramified prime).
+
+    For a maximal order, P^2 = p*O, so P = p*O^#, where O^# is the dual of O
+    under Trd(x*conj(y)).  With basis rows M over den, the trace form has the
+    integer Gram matrix G = 2*M*diag(1, 1, p, p)*M^T over den^2, and the dual
+    basis is den*G^-1*M, i.e. the rows den*adj(G)*M over det(G).
+    """
+    lat = order.lattice
+    p, mat, den = lat.alg.p, lat.mat, lat.den
+    diag = (1, 1, p, p)
+    gram = [[2 * sum(x[t] * diag[t] * y[t] for t in range(4)) for y in mat] for x in mat]
+    adj = [[_cofactor(gram, c, r) for c in range(4)] for r in range(4)]
+    det = _det4(gram)
+    rows = [[p * den * sum(adj[r][t] * mat[t][c] for t in range(4)) for c in range(4)]
+            for r in range(4)]
+    out = Ideal(Lattice4(lat.alg, rows, abs(det)), left=order, right=order)
     if out.nrd() != p:
         raise ArithmeticError("two-sided prime construction failed")
     return out

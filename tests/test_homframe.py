@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quatisom
 from quatisom import (Mor, Mor2x2, base_node, compose, dual, extend_node, hom_lattice,
                       kani_degree, kernel_ideal, make_automorphism, mat_compose,
                       node_from_ideal, random_left_ideal, transpose)
-from quatisom.homframe import add_mor, identity_mor, is_scalar_matrix, zero_mor
+from quatisom.homframe import (VerificationError, add_mor, identity_mor, is_scalar_matrix,
+                               zero_mor)
 
 
 def random_nodes(o0, rng, count=3, ell=3, m=3):
@@ -187,6 +193,38 @@ def test_mor_validation(o0_103, alg103):
         compose(f, f)  # endpoint mismatch
     with pytest.raises(ValueError):
         add_mor(f, g)
+
+
+_UNCHECKED_DEGREE_SCRIPT = """
+import sys
+from fractions import Fraction
+if __debug__:
+    sys.exit(3)  # not running under -O
+from quatisom import QuatAlgebra, base_node
+from quatisom.homframe import Mor, VerificationError
+base = base_node(QuatAlgebra(103))
+# bypass the lattice check: 1/2 is no morphism of O0, its degree is 1/4
+mor = object.__new__(Mor)
+for name, value in (("src", base), ("dst", base), ("elem", base.alg.quaternion(Fraction(1, 2)))):
+    object.__setattr__(mor, name, value)
+try:
+    mor.degree()
+except VerificationError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_degree_check_survives_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(quatisom.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNCHECKED_DEGREE_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verification_error_is_reexported():
+    from quatisom.isom import VerificationError as from_isom
+    assert from_isom is VerificationError
 
 
 def test_endomorphism_elems_are_order_elements(o0_103):

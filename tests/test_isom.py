@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,36 @@ from quatisom import (CompletionPreconditionError, SamplingBudgetError, Verifica
                       random_left_ideal, sum_kernel_ideal, swap_with_E0,
                       verify_ideal_quadruple)
 from quatisom.homframe import transpose, mat_compose
-from quatisom.isom import is_isomorphic_order
+from quatisom.isom import _principal_generator, is_isomorphic_order
+from quatisom.orders import Lattice4
+
+
+def test_principal_generator(o0_103, alg103):
+    a = alg103.quaternion(6, 1, 1, -1)
+    lat = principal_ideal(o0_103, a).lattice
+    gen = _principal_generator(lat, o0_103)
+    assert gen.reduced_norm() == a.reduced_norm()
+    assert o0_103.lattice.rmul_q(gen) == lat
+    # O0*(a/3) is not inside O0 but is principal; index Nrd(a/3)^2 = 27^2
+    assert _principal_generator(lat.scale(Fraction(1, 3)), o0_103) is not None
+
+
+def test_principal_generator_rejects_non_principal(o0_103):
+    # O0 has no element of norm 3 at p = 103, so no ideal of norm 3 is principal
+    ideal = random_left_ideal(o0_103, 3, 1, random.Random(82))
+    assert ideal.lattice.index_in(o0_103.lattice) == 9
+    assert _principal_generator(ideal.lattice, o0_103) is None
+
+
+def test_principal_generator_rejects_non_square_index(o0_103, alg103):
+    # O0 with its first HNF row doubled: index 2, not a square
+    rows = [list(r) for r in o0_103.lattice.mat]
+    rows[0] = [2 * v for v in rows[0]]
+    lat = Lattice4(alg103, rows, o0_103.lattice.den)
+    assert lat.index_in(o0_103.lattice) == 2
+    assert _principal_generator(lat, o0_103) is None
+    # and a rational index that is not a square: 2/81
+    assert _principal_generator(lat.scale(Fraction(1, 3)), o0_103) is None
 
 
 def test_sum_kernel_ideal(o0_103):

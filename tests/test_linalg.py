@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from quatisom.linalg import (enumerate_up_to, hnf, hnf_rows, is_odd_prime_power,
+from quatisom import random_left_ideal
+from quatisom.linalg import (enumerate_up_to, gram_of, hnf, hnf_rows, is_odd_prime_power,
                              lll_reduce, shortest_vector, snf_mod, solve_integer)
 from quatisom.orders import nrd_gram
 
@@ -208,3 +209,32 @@ def test_enumerate_up_to_counts():
     values = sorted(v for _, v in found)
     # up to sign: 1, i, 1+i, 1-i -> values 1, 1, 2, 2
     assert values == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("p", [103, 503])
+def test_integer_gram_matches_fraction_reference(p):
+    rng = random.Random(p)
+    form = nrd_gram(p)
+    assert all(type(v) is int for row in form for v in row)
+    frac_form = [[Fraction(v) for v in row] for row in form]
+    for _ in range(10):
+        basis = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(4)]
+        got = gram_of(basis, form)
+        assert all(type(v) is int for row in got for v in row)
+        assert got == gram_of(basis, frac_form)
+        if len(hnf_rows(basis)) == 4:
+            # exact Fraction values from an integer form and the same answers
+            # as from the Fraction form
+            found = enumerate_up_to(basis, form, 200 * p)
+            assert all(type(v) is Fraction for _, v in found)
+            assert found == enumerate_up_to(basis, frac_form, Fraction(200 * p))
+            assert shortest_vector(basis, form) == shortest_vector(basis, frac_form)
+
+
+def test_min_nonzero_norm_is_a_fraction(o0_103):
+    rng = random.Random(15)
+    for lat in (o0_103.lattice, random_left_ideal(o0_103, 3, 3, rng).lattice,
+                o0_103.lattice.scale(Fraction(1, 3))):
+        _, val = lat.min_nonzero_norm()
+        assert type(val) is Fraction
+    assert val == Fraction(1, 9)

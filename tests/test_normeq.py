@@ -5,7 +5,7 @@ import pytest
 
 from quatisom import (QuatAlgebra, cornacchia, equivalent_power_norm_ideal,
                       random_left_ideal, represent_integer, standard_extremal_order)
-from quatisom.normeq import _ideal_is_primitive
+from quatisom.normeq import _ideal_is_primitive, _sum_of_two_squares
 from quatisom.orders import SamplingBudgetError
 
 
@@ -94,6 +94,70 @@ def test_represent_integer_every_norm_below_p(p):
     o0 = standard_extremal_order(QuatAlgebra(p))
     rng = random.Random(58)
     norms = _norms_below_p_with_primitive_remainder(p)
+    for n in norms:
+        a = represent_integer(o0, n, rng, budget=200)
+        assert a.reduced_norm() == n, n
+        assert o0.lattice.contains(a), n
+
+
+def test_represent_integer_non_primitive_remainder(o0_103):
+    # 9 = Nrd(3) is no primitive sum of two squares, and no half-integer
+    # element of O0 has norm 9 < p
+    a = represent_integer(o0_103, 9, random.Random(59), budget=200)
+    assert a.reduced_norm() == 9
+    assert o0_103.lattice.contains(a)
+
+
+def _norms_below_p(p):
+    """Every n < p that is the reduced norm of some (x + yi + cj + dk)/2 in
+    O0 (x = d and y = c mod 2), by exhaustive search."""
+    out = set()
+    cd_max = isqrt(4 * (p - 1) // p)
+    for c in range(cd_max + 1):
+        for d in range(cd_max + 1):
+            for x in range(d % 2, isqrt(4 * p) + 1, 2):
+                for y in range(c % 2, isqrt(4 * p) + 1, 2):
+                    four_n = x * x + y * y + p * (c * c + d * d)
+                    if 0 < four_n < 4 * p:
+                        out.add(four_n // 4)
+    return sorted(out)
+
+
+def test_sum_of_two_squares_takes_least_scale():
+    # g*(x, y) for the least g with g^2 | m and m/g^2 a primitive sum
+    for m in range(1, 3000):
+        got = _sum_of_two_squares(m)
+        want = None
+        for g in range(1, isqrt(m) + 1):
+            if m % (g * g) == 0 and brute_cornacchia(1, m // (g * g)):
+                want = g
+                break
+        if want is None:
+            assert got is None, m
+        else:
+            x, y = got
+            assert x * x + y * y == m and gcd(x, y) == want, m
+    # square divisors come from the factorization, not a scan up to sqrt(m)
+    assert _sum_of_two_squares(3 ** 40) == (3 ** 20, 0)
+    assert _sum_of_two_squares(3 ** 41) is None
+
+
+def test_represent_integer_prefers_primitive_remainders(o0_103):
+    # 81 = Nrd(9), but (14 + 5i + j)/2 has norm 81 too and lies outside 3*O0,
+    # which the low-discriminant route needs for l = 3
+    rng = random.Random(61)
+    for _ in range(10):
+        a = represent_integer(o0_103, 81, rng, budget=200)
+        assert a.reduced_norm() == 81
+        assert not o0_103.lattice.scale(3).contains(a)
+
+
+@pytest.mark.parametrize("p", [103, 503])
+def test_represent_integer_every_reduced_norm_below_p(p):
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    rng = random.Random(60)
+    norms = _norms_below_p(p)
+    assert 9 in norms and 9 not in _norms_below_p_with_primitive_remainder(p)
     for n in norms:
         a = represent_integer(o0, n, rng, budget=200)
         assert a.reduced_norm() == n, n

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quatisom import (Ideal, Lattice4, connecting_ideal, ideal_norm, multiply_ideals,
-                      principal_ideal, random_left_ideal, two_sided_prime, unit_orders)
-from quatisom.orders import Order, _det4, left_order
+from quatisom import (Ideal, Lattice4, QuatAlgebra, connecting_ideal, ideal_norm,
+                      multiply_ideals, principal_ideal, random_left_ideal,
+                      standard_extremal_order, two_sided_prime, unit_orders)
+from quatisom.orders import Order, _det4, left_order, right_order
 
 
 def test_standard_order(alg103, o0_103):
@@ -138,6 +140,23 @@ def test_two_sided_prime(o0_103):
     assert sq.lattice == o0_103.lattice.scale(103)
 
 
+@pytest.mark.parametrize("p", [103, 503, 1019, 2 ** 32 + 15])
+def test_two_sided_prime_of_maximal_orders(p):
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    rng = random.Random(p)
+    orders = [o0] + [random_left_ideal(o0, ell, m, rng).right_order()
+                     for ell, m in ((3, 1), (5, 2), (7, 3), (3, 4))]
+    for order in orders:
+        lat = two_sided_prime(order).lattice
+        # two-sided: O*P <= P and P*O <= P
+        assert lat.contains_lattice(order.lattice.mul(lat))
+        assert lat.contains_lattice(lat.mul(order.lattice))
+        # both orders recomputed from the lattice alone
+        assert left_order(lat) == order and right_order(lat) == order
+        assert Ideal(lat).nrd() == p
+        assert lat.mul(lat) == order.lattice.scale(p)
+
+
 def test_nrd_index_consistency(o0_103):
     rng = random.Random(25)
     for _ in range(5):
@@ -196,3 +215,23 @@ def test_contains_matches_rational_coordinates(alg103, data):
                 for c in combo]
         other = Lattice4(alg103, rows, lat.den * m)
     assert lat.contains_lattice(other) == all(_contains_reference(lat, b) for b in other.basis())
+
+
+def _quaternions(alg):
+    """Nonzero quaternions with small numerators and denominators."""
+    coords = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                      min_size=4, max_size=4)
+    return coords.map(lambda c: alg.quaternion(*c)).filter(lambda q: not q.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_contains_rmul_matches_product_lattice(alg103, data):
+    lat = data.draw(_lattices(alg103))
+    other = data.draw(_lattices(alg103))
+    q = data.draw(_quaternions(alg103))
+    if data.draw(st.booleans()):
+        # other*q = c*lat, inside lat exactly when c is an integer
+        c = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), 1, 2, 3]))
+        other = lat.rmul_q(q.inverse()).scale(c)
+    assert lat.contains_rmul(other, q) == lat.contains_lattice(other.rmul_q(q))
