@@ -13,19 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .localization import VerificationError, _check  # noqa: F401 (re-exported)
 from .orders import Ideal, Lattice4, Order, multiply_ideals, standard_extremal_order
 from .quat import QuatAlgebra, Quaternion
-
-
-class VerificationError(Exception):
-    """A computed result failed its final check: an internal fault, never
-    retried (it is neither a ValueError nor a budget or precondition error)."""
-
-
-def _check(ok: bool, what: str):
-    """Raise VerificationError unless ok; unlike assert, survives python -O."""
-    if not ok:
-        raise VerificationError(what)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,17 @@ from .quat import Quaternion, is_prime
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
+class VerificationError(Exception):
+    """A computed result failed its final check: an internal fault, never
+    retried (it is neither a ValueError nor a budget or precondition error)."""
+
+
+def _check(ok: bool, what: str):
+    """Raise VerificationError unless ok; unlike assert, survives python -O."""
+    if not ok:
+        raise VerificationError(what)
+
+
 class PrecisionError(ValueError):
     """A valuation reached the working precision l^m."""
 
@@ -125,7 +136,7 @@ class Splitting:
             f = (a * a + b * b + p) % mod
             step = (-f * pow(2 * b, -1, mod)) % mod
             b = (b + step) % mod
-        assert (a * a + b * b + p) % (ell ** m) == 0
+        _check((a * a + b * b + p) % (ell ** m) == 0, "the Hensel lift must split mod l^m")
         return a, b
 
     @staticmethod
@@ -307,7 +318,7 @@ def local_generator(ell: int, ideal: Ideal, alpha: Quaternion) -> tuple[Quaterni
     m_beta = _local_normal_form_of_ideal(ideal, split)
     s1, d1, t1 = snf_prime_power([list(m_alpha[0]), list(m_alpha[1])], ell, m)
     s2, d2, t2 = snf_prime_power([list(m_beta[0]), list(m_beta[1])], ell, m)
-    assert d1 == d2, "equal l-types must give equal local Smith forms"
+    _check(d1 == d2, "equal l-types must give equal local Smith forms")
     mod = split.mod
     t1m = ((t1[0][0], t1[0][1]), (t1[1][0], t1[1][1]))
     t2m = ((t2[0][0], t2[0][1]), (t2[1][0], t2[1][1]))

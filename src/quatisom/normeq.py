@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from .linalg import lll_reduce, enumerate_up_to
-from .localization import _sqrt_mod_prime
+from .localization import _check, _sqrt_mod_prime
 from .orders import Ideal, Order, SamplingBudgetError, nrd_gram, standard_extremal_order
 from .quat import Quaternion, is_prime
 
@@ -523,10 +523,10 @@ def _klpt_special(ideal: Ideal, ell: int, rng: random.Random) -> tuple[Ideal, Qu
         if not _ideal_is_primitive(out, ell):
             continue
         beta = (gamma * mu * delta) / (n * ell ** v)
-        assert ideal.lattice.contains(beta), "witness must lie in the input ideal"
-        assert beta.reduced_norm() == n_i * out.nrd()
+        _check(ideal.lattice.contains(beta), "witness must lie in the input ideal")
+        _check(beta.reduced_norm() == n_i * out.nrd(), "witness norm must be Nrd(I)*Nrd(I')")
         check = ideal.lattice.rmul_q(beta.conjugate()).scale(Fraction(1, n_i))
-        assert check == out.lattice
+        _check(check == out.lattice, "witness must map I onto the output ideal")
         return out, beta
     raise SamplingBudgetError("strong approximation failed at all widths")
 
@@ -572,14 +572,14 @@ def _strong_approximation(alg, p: int, n: int, c: int, d: int, t: int,
         num = t - big_r * lam * lam - 2 * lam * p * n * (c * z - d * w) - n * n * p * (z * z + w * w)
         if num < 0:
             continue
-        assert num % (n * n) == 0
+        _check(num % (n * n) == 0, "strong approximation remainder must be divisible by N^2")
         r2 = num // (n * n)
         sol = _two_squares(r2)
         if sol is None:
             continue
         x, y = sol
         mu = alg.quaternion(n * x, n * y, lam * c + n * z, -lam * d + n * w)
-        assert mu.reduced_norm() == t
+        _check(mu.reduced_norm() == t, "strong approximation must hit the target norm")
         return mu
     return None
 

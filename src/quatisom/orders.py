@@ -8,6 +8,7 @@ Hermite normal form so that structural equality is mathematical equality.
 from __future__ import annotations
 
 import random
+from itertools import product
 from fractions import Fraction
 from math import gcd, lcm, isqrt
 
@@ -100,9 +101,7 @@ class Lattice4:
 
     def basis(self) -> list[Quaternion]:
         d = self.den
-        return [self.alg.quaternion(Fraction(r[0], d), Fraction(r[1], d),
-                                     Fraction(r[2], d), Fraction(r[3], d))
-                for r in self.mat]
+        return [self.alg.quaternion(*(Fraction(v, d) for v in r)) for r in self.mat]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Lattice4) and self.alg == other.alg
@@ -213,8 +212,7 @@ class Lattice4:
 
         _, vec, val = shortest_vector([list(r) for r in self.mat], nrd_gram(self.alg.p))
         d = self.den
-        q = self.alg.quaternion(Fraction(vec[0], d), Fraction(vec[1], d),
-                                Fraction(vec[2], d), Fraction(vec[3], d))
+        q = self.alg.quaternion(*(Fraction(v, d) for v in vec))
         return q, val / d ** 2
 
     def norm_value_vectors(self, value: Fraction) -> list[Quaternion]:
@@ -222,27 +220,44 @@ class Lattice4:
         target = Fraction(value) * self.den ** 2
         out = []
         for vec in vectors_of_value([list(r) for r in self.mat], nrd_gram(self.alg.p), target):
-            out.append(self.alg.quaternion(Fraction(vec[0], self.den), Fraction(vec[1], self.den),
-                                           Fraction(vec[2], self.den), Fraction(vec[3], self.den)))
+            out.append(self.alg.quaternion(*(Fraction(v, self.den) for v in vec)))
         return out
 
 
+def _unit_order(lat: Lattice4, left: bool) -> "Order":
+    """O_L(L) = L*conj(L)/n or O_R(L) = conj(L)*L/n with n = Nrd(L) = sqrt(4*|det L|),
+    as every maximal order has covolume 1/4 on (1, i, j, k).  Certified on every
+    call: an order of covolume 1/4 is maximal, and one that acts on L lies in, so
+    equals, the order of L.  Raises ValueError when that order is not maximal."""
+    p, mat, den = lat.alg.p, lat.mat, lat.den
+    idx = 4 * abs(lat.det())
+    n = Fraction(isqrt(idx.numerator), isqrt(idx.denominator))
+    conj = [(r[0], -r[1], -r[2], -r[3]) for r in mat]
+    pairs = product(mat, conj) if left else product(conj, mat)
+    try:
+        if n * n != idx:
+            raise ValueError(f"4*covolume {idx} is not a square")
+        o = Lattice4(lat.alg, [[v * n.denominator for v in _qmul_int(x, y, p)] for x, y in pairs],
+                     den * den * n.numerator)
+        order = Order(o)
+        if 4 * abs(o.det()) != 1:
+            raise ValueError(f"the candidate order has covolume {abs(o.det())}")
+        acts = [_qmul_int(u, x, p) if left else _qmul_int(x, u, p) for u in o.mat for x in mat]
+        if not lat._contains_rows(acts, o.den * den):
+            raise ValueError("the candidate order does not act on the lattice")
+    except ValueError as err:
+        raise ValueError(f"not an ideal of a maximal order: {err}") from None
+    return order
+
+
 def left_order(lat: Lattice4) -> "Order":
-    """O_L(L) = {a : a*L <= L}, computed as the intersection of L * b^-1."""
-    acc = None
-    for b in lat.basis():
-        cand = lat.rmul_q(b.inverse())
-        acc = cand if acc is None else acc.intersect(cand)
-    return Order(acc)
+    """O_L(L) = {a : a*L <= L} = L*conj(L)/Nrd(L)."""
+    return _unit_order(lat, left=True)
 
 
 def right_order(lat: Lattice4) -> "Order":
-    """O_R(L) = {a : L*a <= L}."""
-    acc = None
-    for b in lat.basis():
-        cand = lat.lmul_q(b.inverse())
-        acc = cand if acc is None else acc.intersect(cand)
-    return Order(acc)
+    """O_R(L) = {a : L*a <= L} = conj(L)*L/Nrd(L)."""
+    return _unit_order(lat, left=False)
 
 
 def unit_orders(lat: Lattice4) -> tuple["Order", "Order"]:
@@ -287,28 +302,8 @@ class Order:
         return self.lattice.basis()
 
     def reduced_discriminant(self) -> int:
-        basis = self.lattice.basis()
-        gram = [[(x * y.conjugate()).reduced_trace() for y in basis] for x in basis]
-        m = [row[:] for row in gram]
-        det = Fraction(1)
-        for c in range(4):
-            piv = next((r for r in range(c, 4) if m[r][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            for r in range(c + 1, 4):
-                f = m[r][c] / m[c][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        det = abs(det)
-        if det.denominator != 1:
-            raise ValueError("non-integral discriminant")
-        d = isqrt(int(det))
-        if d * d != int(det):
-            raise ValueError("discriminant determinant is not a perfect square")
-        return d
+        """4p*covolume, as the Gram determinant of Trd(x*conj(y)) is 16p^2*covolume^2."""
+        return int(4 * self.alg.p * abs(self.lattice.det()))
 
     def is_maximal(self) -> bool:
         return self.reduced_discriminant() == self.alg.p
@@ -376,7 +371,8 @@ class Ideal:
 
     def nrd(self) -> int:
         if self._nrd is None:
-            idx = self.lattice.index_in(self.left_order().lattice)
+            self.left_order()  # certified maximal: covolume 1/4
+            idx = 4 * abs(self.lattice.det())
             if idx.denominator != 1:
                 raise ValueError("ideal is not contained in its left order")
             n = isqrt(int(idx))

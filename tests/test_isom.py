@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -277,6 +278,16 @@ def test_verification_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _PATCHED_DEGREE_SCRIPT],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_has_no_assert():
+    # python -O strips assert statements; every check must be explicit code
+    found = []
+    for path in sorted(Path(quatisom.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_verification_error_is_not_retried():

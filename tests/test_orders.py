@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,7 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from quatisom import (Ideal, Lattice4, QuatAlgebra, connecting_ideal, ideal_norm,
                       multiply_ideals, principal_ideal, random_left_ideal,
                       standard_extremal_order, two_sided_prime, unit_orders)
+from quatisom.cli import main
 from quatisom.orders import Order, _det4, left_order, right_order
+from quatisom.serialization import ideal_from_json, ideal_to_json
 
 
 def test_standard_order(alg103, o0_103):
@@ -110,10 +114,9 @@ def test_connecting_ideal(o0_103, alg103):
         assert conn.left_order() == o0_103
         assert conn.right_order() == o2
         assert conn.is_integral()
-        # the product lattice O1*O2 scaled by d: Nrd divides d^2
-        d_sq = conn.lattice.index_in(o0_103.lattice.mul(o2.lattice))
-        assert d_sq % conn.nrd() == 0 or conn.nrd() % d_sq == 0 or True
-        assert conn.nrd() >= 1
+        # Nrd(I) = [O1 : O1 n O2], and I = d*O1*O2 with d = Nrd(I)
+        assert conn.nrd() == o0_103.lattice.intersect(o2.lattice).index_in(o0_103.lattice)
+        assert conn.lattice.index_in(o0_103.lattice.mul(o2.lattice)) == conn.nrd() ** 4
 
 
 def test_random_left_ideal(o0_103):
@@ -155,6 +158,91 @@ def test_two_sided_prime_of_maximal_orders(p):
         assert left_order(lat) == order and right_order(lat) == order
         assert Ideal(lat).nrd() == p
         assert lat.mul(lat) == order.lattice.scale(p)
+
+
+def _left_order_reference(lat):
+    """O_L(L) as the intersection of the four lattices L*b^-1 over the basis b."""
+    acc = None
+    for b in lat.basis():
+        cand = lat.rmul_q(b.inverse())
+        acc = cand if acc is None else acc.intersect(cand)
+    return Order(acc)
+
+
+def _right_order_reference(lat):
+    """O_R(L) as the intersection of the four lattices b^-1*L."""
+    acc = None
+    for b in lat.basis():
+        cand = lat.lmul_q(b.inverse())
+        acc = cand if acc is None else acc.intersect(cand)
+    return Order(acc)
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019, 2 ** 32 + 15])
+def test_closed_form_orders_match_intersections(p):
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 1)
+    lattices = [o0.lattice]
+    for ell, m in ((3, 1), (3, 4), (5, 2), (7, 3), (11, 1)):
+        ideal = random_left_ideal(o0, ell, m, rng)
+        # O0-ideals, their conjugates (left order O_R), a principal ideal of the
+        # right order, and a fractional multiple
+        q = alg.quaternion(*(rng.randint(-9, 9) for _ in range(4)))
+        lattices += [ideal.lattice, ideal.lattice.conjugate(), ideal.lattice.scale(Fraction(2, 3))]
+        if not q.is_zero():
+            lattices.append(ideal.right_order().lattice.rmul_q(q))
+    for lat in lattices:
+        ol, orr = _left_order_reference(lat), _right_order_reference(lat)
+        assert ol.is_maximal() and orr.is_maximal()
+        assert left_order(lat) == ol
+        assert right_order(lat) == orr
+        if ol.lattice.contains_lattice(lat):
+            assert Ideal(lat).nrd() ** 2 == lat.index_in(ol.lattice)
+
+
+def _reduced_discriminant_reference(order):
+    """sqrt |det Gram| of the trace form Trd(x*conj(y)) on the basis."""
+    basis = order.basis()
+    det = abs(_det4([[(x * y.conjugate()).reduced_trace() for y in basis] for x in basis]))
+    d = Fraction(isqrt(det.numerator), isqrt(det.denominator))
+    assert d * d == det
+    return d
+
+
+def test_reduced_discriminant_matches_gram_determinant():
+    for p in (103, 503, 1019, 2 ** 32 + 15):
+        alg = QuatAlgebra(p)
+        o0 = standard_extremal_order(alg)
+        rng = random.Random(p + 2)
+        zijk = Order(Lattice4(alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+        # Z + 3*O0 has index 27 in O0
+        small = Order(o0.lattice.scale(3).add(Lattice4(alg, [[1, 0, 0, 0], [0, 3, 0, 0],
+                                                            [0, 0, 3, 0], [0, 0, 0, 3]])))
+        orders = [o0, zijk, small] + [random_left_ideal(o0, ell, 3, rng).right_order()
+                                      for ell in (3, 5)]
+        for order in orders:
+            assert order.reduced_discriminant() == _reduced_discriminant_reference(order)
+        assert zijk.reduced_discriminant() == 4 * p
+        assert small.reduced_discriminant() == 27 * p
+        assert [o.is_maximal() for o in orders] == [True, False, False, True, True]
+
+
+def test_non_maximal_lattice_is_rejected(alg103, example_p103, tmp_path):
+    # 3*Z<1, i, j, k>: its left and right orders are Z<1, i, j, k>, not maximal
+    lat = Lattice4(alg103, [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])
+    for func in (left_order, right_order, lambda x: Ideal(x).nrd()):
+        with pytest.raises(ValueError, match="not an ideal of a maximal order"):
+            func(lat)
+    data = {"p": "103", "denominator": "1", "nrd": "9",
+            "basis": [[str(v) for v in row] for row in lat.mat]}
+    with pytest.raises(ValueError, match="not an ideal of a maximal order"):
+        ideal_from_json(data, alg103)
+    quad = {k: ideal_to_json(example_p103[k]) for k in ("I11", "I21", "I12", "I22")}
+    quad["I11"] = data
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps({"p": "103", "ideals": quad}))
+    assert main(["verify", "--in", str(path)]) == 3
 
 
 def test_nrd_index_consistency(o0_103):
