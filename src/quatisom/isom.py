@@ -18,7 +18,6 @@ from .division import principal_ideal_divide
 from .homframe import (Certificate, Mor, Mor2x2, VerificationError,  # noqa: F401 (re-exported)
                        _check, base_node, dual, extend_node, kani_degree, mat_compose,
                        node_from_ideal, swap_rows, transpose)
-from .linalg import solve_integer
 from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
 from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, multiply_ideals,
@@ -79,33 +78,30 @@ def _solve_morphism_elem(src, dst, ideal: Ideal) -> Quaternion | None:
     return _principal_generator(lat, dst.order)
 
 
-def _split_xi(j11: Ideal, j21: Ideal, d11: int, d21: int, xi: Quaternion):
-    """xi11 in J11, xi21 in J21 with d21*xi11 - d11*xi21 = xi, both nonzero."""
-    b11 = j11.basis()
-    b21 = j21.basis()
-    cols = [(b * d21).coords() for b in b11] + [(b * (-d11)).coords() for b in b21]
-    den = 1
-    from math import lcm
+def _bezout_split(d11: int, d21: int) -> tuple[int, int]:
+    """(u, v) with u*d21 - v*d11 = 1, both nonzero and 0 < u <= 2*d11.
 
-    for col in cols:
-        for v in col:
-            den = lcm(den, v.denominator)
-    tvec = [int(c * den) for c in xi.coords()]
-    mat = [[int(cols[c][r] * den) for c in range(8)] for r in range(4)]
-    sol = solve_integer(mat, tvec)
-    if not sol.has_solution:
-        raise ArithmeticError("xi does not split over J11, J21: corrupt completion state")
-    x = sol.particular
-    xi11 = sum((c * b for c, b in zip(x[1:4], b11[1:])), x[0] * b11[0])
-    xi21 = sum((c * b for c, b in zip(x[5:], b21[1:])), x[4] * b21[0])
-    if xi11.is_zero() or xi21.is_zero():
-        # shift along the intersection to make both parts nonzero
-        inter = j11.lattice.intersect(j21.lattice)
-        for w in inter.basis():
-            c11, c21 = xi11 + w * d11, xi21 + w * d21
-            if not c11.is_zero() and not c21.is_zero():
-                xi11, xi21 = c11, c21
-                break
+    u starts as the inverse of d21 mod d11 in [0, d11); (d11, d21) is added
+    while u or v is zero, at most twice (twice only when d11 = d21 = 1).
+    """
+    u = pow(d21, -1, d11)
+    v = (u * d21 - 1) // d11
+    while u == 0 or v == 0:
+        u, v = u + d11, v + d21
+    return u, v
+
+
+def _split_xi(j11: Ideal, j21: Ideal, d11: int, d21: int, xi: Quaternion):
+    """xi11 = u*xi in J11 and xi21 = v*xi in J21, with d21*xi11 - d11*xi21 = xi.
+
+    I11 contains d11*O1 and I21 lies in O1, so J11 = conj(I_psi)*I11 contains
+    d11*conj(I_psi), which contains d11*J21; likewise d21*J11 <= J21.  Hence
+    xi in d21*J11 + d11*J21 lies in J11 and in J21, and (u, v) from
+    `_bezout_split` splits it.  Nrd(xi11) = u^2*Nrd(xi) stays small because
+    u <= 2*d11.
+    """
+    u, v = _bezout_split(d11, d21)
+    xi11, xi21 = xi * u, xi * v
     _check(xi11 * d21 - xi21 * d11 == xi, "the split of xi does not sum to xi")
     _check(j11.lattice.contains(xi11) and j21.lattice.contains(xi21),
            "the split of xi leaves J11 or J21")
@@ -116,10 +112,13 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal) -> Completi
     """Complete the first column (I11, I21) to an isomorphism matrix
     E1 x E2 -> E1' x E2' with certificate.
 
-    Tries the connecting ideal d*O1*O2 first; if its equivalence class does
-    not match the frames (or the shortest-vector test fails), falls back to
-    the frame-derived connecting ideal conj(F1)*F2 before declaring the
-    precondition violated.
+    The connecting ideal is the frame ideal I_psi = conj(F1)*F2 from O1 to
+    O2, realized by s = Nrd(F1).  With J11 = conj(I_psi)*I11 and
+    J21 = conj(I_psi)*I21, the target is isomorphic to the quotient by
+    ker + ker exactly when d21*J11 + d11*J21 holds a vector xi of norm
+    d11*d21*Nrd(I_psi); otherwise CompletionPreconditionError is raised.
+    xi splits in closed form (`_split_xi`), and the second column follows
+    by principal division.
     """
     o1, o2 = n1.order, n2.order
     if i11.left_order() != o1 or i21.left_order() != o1:
@@ -134,47 +133,35 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal) -> Completi
         raise CompletionPreconditionError(
             "input ideals are not realizable as morphisms to the given target nodes")
 
-    candidates = []
-    lit = connecting_ideal(o1, o2)
-    s_lit = _solve_morphism_elem(n1, n2, lit)
-    if s_lit is not None:
-        candidates.append((lit, s_lit))
-    frame_conn = Ideal(n1.frame.lattice.conjugate().mul(n2.frame.lattice),
-                       left=o1, right=o2)
-    candidates.append((frame_conn, n1.alg.quaternion(n1.frame_norm())))
+    i_psi = Ideal(n1.frame.lattice.conjugate().mul(n2.frame.lattice), left=o1, right=o2)
+    n_psi = i_psi.nrd()
+    j11 = multiply_ideals(i_psi.conjugate(), i11, check_compatible=False)
+    j11._nrd = n_psi * d11
+    j21 = multiply_ideals(i_psi.conjugate(), i21, check_compatible=False)
+    j21._nrd = n_psi * d21
+    jk = Ideal(j11.lattice.scale(d21).add(j21.lattice.scale(d11)), left=o2)
+    xi, val = jk.lattice.min_nonzero_norm()
+    if val != d11 * d21 * n_psi:
+        raise CompletionPreconditionError(
+            f"quotient by ker + ker is not isomorphic to the second source: "
+            f"minimal norm {val} exceeds the target {d11 * d21 * n_psi}")
 
-    last_norm = None
-    for i_psi, s in candidates:
-        n_psi = i_psi.nrd()
-        j11 = multiply_ideals(i_psi.conjugate(), i11, check_compatible=False)
-        j11._nrd = n_psi * d11
-        j21 = multiply_ideals(i_psi.conjugate(), i21, check_compatible=False)
-        j21._nrd = n_psi * d21
-        jk = Ideal(j11.lattice.scale(d21).add(j21.lattice.scale(d11)), left=o2)
-        xi, val = jk.lattice.min_nonzero_norm()
-        last_norm = (val, d11 * d21 * n_psi)
-        if val != d11 * d21 * n_psi:
-            continue
+    xi11, xi21 = _split_xi(j11, j21, d11, d21, xi)
+    # I_psi is realized by the scalar s = Nrd(F1): b12 = b11*conj(s)*conj(xi11)/(d11*Nrd(s))
+    f1 = n1.frame_norm()
+    b12 = b11 * xi11.conjugate() / (d11 * f1)
+    b22 = b21 * xi21.conjugate() / (d21 * f1)
+    mat = Mor2x2(m11=Mor(n1, n1p, b11), m12=Mor(n2, n1p, b12),
+                 m21=Mor(n1, n2p, b21), m22=Mor(n2, n2p, b22))
+    _check(kani_degree(mat) == 1, "completion assembled a non-isomorphism")
 
-        xi11, xi21 = _split_xi(j11, j21, d11, d21, xi)
-        ns = s.reduced_norm()
-        b12 = b11 * s.conjugate() * xi11.conjugate() / (d11 * ns)
-        b22 = b21 * s.conjugate() * xi21.conjugate() / (d21 * ns)
-        mat = Mor2x2(m11=Mor(n1, n1p, b11), m12=Mor(n2, n1p, b12),
-                     m21=Mor(n1, n2p, b21), m22=Mor(n2, n2p, b22))
-        _check(kani_degree(mat) == 1, "completion assembled a non-isomorphism")
-
-        # the divisor W is a left O_R(I11)-ideal; certificates carry I12 = conj(W)
-        i12 = principal_ideal_divide(o2, i11.right_order(), xi11, j11).conjugate()
-        i22 = principal_ideal_divide(o2, i21.right_order(), xi21, j21).conjugate()
-        cert = Certificate(i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
-                           xi11=xi11, xi21=xi21, d11=d11, d21=d21)
-        _check(cert.verify(o2), "the completion certificate does not verify")
-        return CompletionResult(matrix=mat, certificate=cert)
-
-    raise CompletionPreconditionError(
-        f"quotient by ker + ker is not isomorphic to the second source: "
-        f"minimal norm {last_norm[0]} exceeds the target {last_norm[1]}")
+    # the divisor W is a left O_R(I11)-ideal; certificates carry I12 = conj(W)
+    i12 = principal_ideal_divide(o2, i11.right_order(), xi11, j11).conjugate()
+    i22 = principal_ideal_divide(o2, i21.right_order(), xi21, j21).conjugate()
+    cert = Certificate(i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
+                       xi11=xi11, xi21=xi21, d11=d11, d21=d21)
+    _check(cert.verify(o2), "the completion certificate does not verify")
+    return CompletionResult(matrix=mat, certificate=cert)
 
 
 def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None,

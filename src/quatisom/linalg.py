@@ -50,18 +50,24 @@ def hnf(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form: returns (H, U) with U unimodular, U*mat = H.
 
     H is upper echelon with positive pivots and entries above each pivot
-    reduced into [0, pivot).  Zero rows sink to the bottom.
+    reduced into [0, pivot).  Zero rows sink to the bottom.  U is the last
+    columns of the echelon form of [mat | I]: the elimination visits the
+    columns of mat first, so the first columns are H.
     """
-    return _hnf(mat, transform=True)
+    if not mat or not mat[0]:
+        raise ValueError("hnf of empty matrix")
+    ncols, nrows = len(mat[0]), len(mat)
+    eye = identity_matrix(nrows)
+    h = _echelon([row + eye[r] for r, row in enumerate(mat)])
+    return [row[:ncols] for row in h], [row[ncols:] for row in h]
 
 
-def _hnf(mat: IntMatrix, transform: bool) -> tuple[IntMatrix, IntMatrix | None]:
-    """The elimination behind `hnf`; the transform U is None unless requested."""
+def _echelon(mat: IntMatrix) -> IntMatrix:
+    """The row echelon form behind `hnf` and `hnf_rows`, zero rows included."""
     if not mat or not mat[0]:
         raise ValueError("hnf of empty matrix")
     h = [row[:] for row in mat]
     nrows, ncols = len(h), len(h[0])
-    u = identity_matrix(nrows) if transform else None
     piv_row = 0
     for col in range(ncols):
         if piv_row >= nrows:
@@ -76,8 +82,6 @@ def _hnf(mat: IntMatrix, transform: bool) -> tuple[IntMatrix, IntMatrix | None]:
             continue
         if pivot != piv_row:
             h[piv_row], h[pivot] = h[pivot], h[piv_row]
-            if transform:
-                u[piv_row], u[pivot] = u[pivot], u[piv_row]
         for r in range(piv_row + 1, nrows):
             while h[r][col] != 0:
                 a, b = h[piv_row][col], h[r][col]
@@ -87,30 +91,21 @@ def _hnf(mat: IntMatrix, transform: bool) -> tuple[IntMatrix, IntMatrix | None]:
                 hp, hr = h[piv_row], h[r]
                 for c in range(ncols):
                     hp[c], hr[c] = x * hp[c] + y * hr[c], -bp * hp[c] + ap * hr[c]
-                if transform:
-                    up, ur = u[piv_row], u[r]
-                    for c in range(nrows):
-                        up[c], ur[c] = x * up[c] + y * ur[c], -bp * up[c] + ap * ur[c]
         if h[piv_row][col] < 0:
             h[piv_row] = [-v for v in h[piv_row]]
-            if transform:
-                u[piv_row] = [-v for v in u[piv_row]]
         # reduce entries above the pivot into [0, pivot)
         piv = h[piv_row][col]
         for r in range(piv_row):
             q = h[r][col] // piv
             if q:
                 h[r] = [hv - q * pv for hv, pv in zip(h[r], h[piv_row])]
-                if transform:
-                    u[r] = [uv - q * pv for uv, pv in zip(u[r], u[piv_row])]
         piv_row += 1
-    return h, u
+    return h
 
 
 def hnf_rows(mat: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite normal form (no transform is built)."""
-    h, _ = _hnf(mat, transform=False)
-    return [row for row in h if any(row)]
+    return [row for row in _echelon(mat) if any(row)]
 
 
 @dataclass

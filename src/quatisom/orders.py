@@ -161,12 +161,15 @@ class Lattice4:
         return Lattice4(self.alg, rows, self.den * other.den)
 
     def scale(self, c) -> "Lattice4":
+        """c*L without a new HNF: a positive multiple of an HNF basis is in
+        HNF, so only the content shared with the new denominator is removed."""
         c = Fraction(c)
         if c == 0:
             raise ValueError("cannot scale a lattice by zero")
-        num, den = abs(c.numerator), c.denominator
-        rows = [[v * num for v in r] for r in self.mat]
-        return Lattice4(self.alg, rows, self.den * den)
+        num, den = abs(c.numerator), self.den * c.denominator
+        g = gcd(den, num * gcd(*(v for r in self.mat for v in r)))
+        mat = tuple(tuple(v * num // g for v in r) for r in self.mat)
+        return Lattice4(self.alg, mat, den // g, _canonical=True)
 
     def rmul_q(self, q: Quaternion) -> "Lattice4":
         """The lattice L*q."""

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from quatisom import (CompletionPreconditionError, SamplingBudgetError, Verifica
                       random_left_ideal, sum_kernel_ideal, swap_with_E0,
                       verify_ideal_quadruple)
 from quatisom.homframe import transpose, mat_compose
-from quatisom.isom import _principal_generator, is_isomorphic_order
+from quatisom.isom import _bezout_split, _principal_generator, is_isomorphic_order
 from quatisom.orders import Lattice4
 
 
@@ -114,6 +115,30 @@ def test_completion_roundtrip_verify(example_p503, alg503):
     cert = res.certificate
     rep = verify_ideal_quadruple(cert.i11, cert.i21, cert.i12, cert.i22)
     assert rep.ok, rep.reason
+
+
+def test_bezout_split_small_norms():
+    for d11 in range(1, 61):
+        for d21 in range(1, 61):
+            if gcd(d11, d21) != 1:
+                continue
+            u, v = _bezout_split(d11, d21)
+            assert u * d21 - v * d11 == 1
+            assert u != 0 and v != 0
+            # Nrd(xi11) = u^2*Nrd(xi), so u must stay of the size of d11
+            assert abs(u) <= 2 * d11
+
+
+def test_completion_unit_norms(o0_103, alg103):
+    # d11 = d21 = 1: the plain Bezout pair (0, -1) and its first shift (1, 0)
+    # each leave a part zero
+    base = base_node(alg103)
+    res = isomorphism_completion(base, base, base, base, o0_103.one_ideal(), o0_103.one_ideal())
+    assert kani_degree(res.matrix) == 1
+    cert = res.certificate
+    assert cert.verify(o0_103)
+    assert cert.d11 == cert.d21 == 1
+    assert not cert.xi11.is_zero() and not cert.xi21.is_zero()
 
 
 def test_completion_rejects_noncoprime(o0_103, alg103):
@@ -278,6 +303,66 @@ def test_verification_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _PATCHED_DEGREE_SCRIPT],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+_PATCHED_SPLIT_SCRIPT = """
+import random, sys
+from fractions import Fraction
+if __debug__:
+    sys.exit(3)  # not running under -O
+import quatisom.isom as isom
+from quatisom import (QuatAlgebra, VerificationError, base_node, node_from_ideal,
+                      random_left_ideal, standard_extremal_order, sum_kernel_ideal)
+isom._bezout_split = eval(sys.argv[1])
+o0 = standard_extremal_order(QuatAlgebra(103))
+rng = random.Random(5)
+i11 = random_left_ideal(o0, 3, 3, rng)
+i21 = random_left_ideal(o0, 5, 2, rng)
+n2 = node_from_ideal(sum_kernel_ideal(i11, i21))
+try:
+    isom.isomorphism_completion(base_node(o0.alg), node_from_ideal(i11), n2,
+                                node_from_ideal(i21), i11, i21)
+except VerificationError as err:
+    print(err)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("lambda d11, d21: (1, 1)", "does not sum to xi"),
+    ("lambda d11, d21: (Fraction(1, d21), 0)", "leaves J11 or J21"),
+])
+def test_split_checks_survive_python_O(pair, message):
+    env = dict(os.environ, PYTHONPATH=str(Path(quatisom.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _PATCHED_SPLIT_SCRIPT, pair],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout
+
+
+def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
+    # completion, division, orders and norms are closed form: no pipeline may
+    # reach HNF with transform, the integer kernel or system solver, or a
+    # lattice intersection
+    rng = random.Random(94)
+    nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(4)]
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("a pipeline called the generic integer solver layer")
+
+    for name, module in list(sys.modules.items()):
+        if name == "quatisom" or name.startswith("quatisom."):
+            for attr in ("hnf", "kernel_basis", "solve_integer"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    monkeypatch.setattr(Lattice4, "intersect", forbidden)
+
+    assert kani_degree(low_discriminant_isomorphism(nodes[0], 3, rng).matrix) == 1
+    assert kani_degree(isomorphism_E0(nodes[0], nodes[1], rng)) == 1
+    assert kani_degree(isom_two_products(*nodes, rng)) == 1
+    chain = isom_g_products(nodes[:3], nodes[1:], rng)
+    assert [kani_degree(mat) for _, mat in chain] == [1, 1]
 
 
 def test_library_has_no_assert():

@@ -323,3 +323,17 @@ def test_contains_rmul_matches_product_lattice(alg103, data):
         c = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), 1, 2, 3]))
         other = lat.rmul_q(q.inverse()).scale(c)
     assert lat.contains_rmul(other, q) == lat.contains_lattice(other.rmul_q(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scale_matches_full_hnf(alg103, data):
+    # scale() keeps the HNF rows and only removes the content shared with
+    # the new denominator; the reference runs the full HNF
+    lat = data.draw(_lattices(alg103))
+    c = data.draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), 3,
+                                   Fraction(-7, 9)]))
+    c = Fraction(c)
+    ref = Lattice4(alg103, [[v * c.numerator for v in r] for r in lat.mat], lat.den * c.denominator)
+    out = lat.scale(c)
+    assert (out.mat, out.den) == (ref.mat, ref.den)
