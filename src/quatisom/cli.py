@@ -188,6 +188,9 @@ def _run_one(func, args) -> int:
     except (SamplingBudgetError, CompletionPreconditionError) as err:
         print(f"algorithm failed: {err}", file=sys.stderr)
         return EXIT_ALGORITHM_FAILED
+    except ArithmeticError as err:  # NotDivisibleError and other arithmetic faults
+        print(f"algorithm failed: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_ALGORITHM_FAILED
     except VerificationError as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

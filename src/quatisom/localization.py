@@ -166,12 +166,10 @@ class Splitting:
     def to_matrix(self, x: Quaternion) -> Mat2:
         """Image of x in Mat_2(Z/l^m); denominators must be prime to l."""
         mod = self.mod
-        co = []
-        for c in x.coords():
-            if c.denominator % self.ell == 0:
-                raise ValueError("denominator not invertible mod l^m")
-            co.append(c.numerator * pow(c.denominator, -1, mod) % mod)
-        ent = [sum(self._phi[r][c] * co[c] for c in range(4)) % mod for r in range(4)]
+        if x.den % self.ell == 0:
+            raise ValueError("denominator not invertible mod l^m")
+        inv = pow(x.den, -1, mod)
+        ent = [sum(self._phi[r][c] * x.num[c] for c in range(4)) * inv % mod for r in range(4)]
         return ((ent[0], ent[1]), (ent[2], ent[3]))
 
     def from_matrix(self, mat: Mat2) -> Quaternion:

@@ -99,7 +99,8 @@ def _sqrt_mod_2_power(a: int, e: int) -> list[int]:
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization (desk scale)."""
+    """Trial-division factorization (desk scale); primality is tested before
+    the wheel and after each factor found, not on every step."""
     out: dict[int, int] = {}
     for q in (2, 3, 5):
         while n % q == 0:
@@ -108,12 +109,13 @@ def _factorize(n: int) -> dict[int, int]:
     f = 7
     inc = (4, 2, 4, 2, 4, 6, 2, 6)
     idx = 0
-    while f * f <= n:
-        if is_prime(n):
-            break
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
+    prime = is_prime(n)
+    while not prime and f * f <= n:
+        if n % f == 0:
+            while n % f == 0:
+                out[f] = out.get(f, 0) + 1
+                n //= f
+            prime = is_prime(n)
         f += inc[idx]
         idx = (idx + 1) % 8
     if n > 1:
@@ -288,7 +290,7 @@ def represent_integer(o0: Order, n: int, rng: random.Random | None = None,
                 x, y = y, x
             if (x - dd) % 2 or (y - c) % 2:
                 continue
-            cand = alg.quaternion(Fraction(x, 2), Fraction(y, 2), Fraction(c, 2), Fraction(dd, 2))
+            cand = Quaternion(alg, (x, y, c, dd), 2)
         if cand.reduced_norm() == n and o0.lattice.contains(cand):
             return cand
     raise SamplingBudgetError(f"no element of norm {n} found within budget {budget}")
@@ -363,16 +365,14 @@ def _small_elements(ideal: Ideal, count: int):
     LLL-reduced basis, in a deterministic sweep."""
     lat = ideal.lattice
     red, _ = lll_reduce([list(r) for r in lat.mat], nrd_gram(lat.alg.p))
-    basis = []
-    for row in red:
-        basis.append(lat.alg.quaternion(Fraction(row[0], lat.den), Fraction(row[1], lat.den),
-                                        Fraction(row[2], lat.den), Fraction(row[3], lat.den)))
+    columns = list(zip(*red))
     seen = 0
     for radius in range(1, 16):
         for co in product(range(-radius, radius + 1), repeat=4):
             if max(abs(v) for v in co) != radius:
                 continue
-            yield co[0] * basis[0] + co[1] * basis[1] + co[2] * basis[2] + co[3] * basis[3]
+            vec = tuple(sum(c * v for c, v in zip(co, col)) for col in columns)
+            yield Quaternion(lat.alg, vec, lat.den)
             seen += 1
             if seen >= count:
                 return
@@ -608,9 +608,8 @@ def _equivalent_by_enumeration(ideal: Ideal, ell: int, rng: random.Random,
                 ee += 1
             if tq != 1:
                 continue
-            vec = [sum(coeffs[t] * red[t][cc] for t in range(4)) for cc in range(4)]
-            beta = alg.quaternion(Fraction(vec[0], lat.den), Fraction(vec[1], lat.den),
-                                  Fraction(vec[2], lat.den), Fraction(vec[3], lat.den))
+            beta = Quaternion(alg, [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*red)],
+                              lat.den)
             out_lat = lat.rmul_q(beta.conjugate()).scale(Fraction(1, n_i))
             o0 = ideal.left_order()
             out_lat, v = _strip_l_content(out_lat, o0, ell)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm, isqrt
 
 from .linalg import hnf_rows, kernel_basis, vectors_of_value
-from .quat import QuatAlgebra, Quaternion
+from .quat import QuatAlgebra, Quaternion, qmul
 
 
 class SamplingBudgetError(RuntimeError):
@@ -25,18 +25,6 @@ def nrd_gram(p: int) -> list[list[int]]:
     integer diagonal (1, 1, p, p)."""
     d = [1, 1, p, p]
     return [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]
-
-
-def _qmul_int(x, y, p):
-    """Product of quaternions given as integer 4-tuples."""
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    return (
-        x0 * y0 - x1 * y1 - p * (x2 * y2 + x3 * y3),
-        x0 * y1 + x1 * y0 + p * (x2 * y3 - x3 * y2),
-        x0 * y2 + x2 * y0 - x1 * y3 + x3 * y1,
-        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-    )
 
 
 def _in_span(rows, v, scale: int = 1) -> bool:
@@ -100,8 +88,7 @@ class Lattice4:
         self.den = den // g
 
     def basis(self) -> list[Quaternion]:
-        d = self.den
-        return [self.alg.quaternion(*(Fraction(v, d) for v in r)) for r in self.mat]
+        return [Quaternion(self.alg, r, self.den) for r in self.mat]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Lattice4) and self.alg == other.alg
@@ -116,8 +103,8 @@ class Lattice4:
     def det(self) -> Fraction:
         return Fraction(_det4(self.mat), self.den ** 4)
 
-    def coords_of(self, q: Quaternion) -> list[Fraction] | None:
-        """Coordinates of q on the basis, or None if q is not in Q-span (never here)."""
+    def coords_of(self, q: Quaternion) -> list[Fraction]:
+        """Coordinates of q on the basis (a full-rank lattice spans the algebra)."""
         target = [c * self.den for c in q.coords()]
         xs = []
         for r in range(4):
@@ -129,8 +116,7 @@ class Lattice4:
         return xs
 
     def contains(self, q: Quaternion) -> bool:
-        co, d = q.int_coords()
-        return _in_span(self.mat, [c * self.den for c in co], d)
+        return _in_span(self.mat, [v * self.den for v in q.num], q.den)
 
     def _contains_rows(self, rows, den: int) -> bool:
         """Whether every row/den (integer rows) lies in the lattice."""
@@ -142,9 +128,8 @@ class Lattice4:
     def contains_rmul(self, other: "Lattice4", q: Quaternion) -> bool:
         """Whether other*q <= self, tested on the four product rows without
         building the lattice other*q."""
-        co, d = q.int_coords()
         p = self.alg.p
-        return self._contains_rows([_qmul_int(row, co, p) for row in other.mat], other.den * d)
+        return self._contains_rows([qmul(row, q.num, p) for row in other.mat], other.den * q.den)
 
     def add(self, other: "Lattice4") -> "Lattice4":
         d = lcm(self.den, other.den)
@@ -157,7 +142,7 @@ class Lattice4:
         rows = []
         for x in self.mat:
             for y in other.mat:
-                rows.append(list(_qmul_int(x, y, p)))
+                rows.append(qmul(x, y, p))
         return Lattice4(self.alg, rows, self.den * other.den)
 
     def scale(self, c) -> "Lattice4":
@@ -175,19 +160,15 @@ class Lattice4:
         """The lattice L*q."""
         if q.is_zero():
             raise ValueError("cannot multiply a lattice by zero")
-        co, d = q.int_coords()
         p = self.alg.p
-        rows = [list(_qmul_int(r, co, p)) for r in self.mat]
-        return Lattice4(self.alg, rows, self.den * d)
+        return Lattice4(self.alg, [qmul(r, q.num, p) for r in self.mat], self.den * q.den)
 
     def lmul_q(self, q: Quaternion) -> "Lattice4":
         """The lattice q*L."""
         if q.is_zero():
             raise ValueError("cannot multiply a lattice by zero")
-        co, d = q.int_coords()
         p = self.alg.p
-        rows = [list(_qmul_int(co, r, p)) for r in self.mat]
-        return Lattice4(self.alg, rows, self.den * d)
+        return Lattice4(self.alg, [qmul(q.num, r, p) for r in self.mat], self.den * q.den)
 
     def conjugate(self) -> "Lattice4":
         rows = [[r[0], -r[1], -r[2], -r[3]] for r in self.mat]
@@ -214,17 +195,13 @@ class Lattice4:
         from .linalg import shortest_vector
 
         _, vec, val = shortest_vector([list(r) for r in self.mat], nrd_gram(self.alg.p))
-        d = self.den
-        q = self.alg.quaternion(*(Fraction(v, d) for v in vec))
-        return q, val / d ** 2
+        return Quaternion(self.alg, tuple(vec), self.den), val / self.den ** 2
 
     def norm_value_vectors(self, value: Fraction) -> list[Quaternion]:
         """All lattice elements of exact reduced norm `value` (both signs)."""
         target = Fraction(value) * self.den ** 2
-        out = []
-        for vec in vectors_of_value([list(r) for r in self.mat], nrd_gram(self.alg.p), target):
-            out.append(self.alg.quaternion(*(Fraction(v, self.den) for v in vec)))
-        return out
+        vecs = vectors_of_value([list(r) for r in self.mat], nrd_gram(self.alg.p), target)
+        return [Quaternion(self.alg, tuple(vec), self.den) for vec in vecs]
 
 
 def _unit_order(lat: Lattice4, left: bool) -> "Order":
@@ -240,12 +217,12 @@ def _unit_order(lat: Lattice4, left: bool) -> "Order":
     try:
         if n * n != idx:
             raise ValueError(f"4*covolume {idx} is not a square")
-        o = Lattice4(lat.alg, [[v * n.denominator for v in _qmul_int(x, y, p)] for x, y in pairs],
+        o = Lattice4(lat.alg, [[v * n.denominator for v in qmul(x, y, p)] for x, y in pairs],
                      den * den * n.numerator)
         order = Order(o)
         if 4 * abs(o.det()) != 1:
             raise ValueError(f"the candidate order has covolume {abs(o.det())}")
-        acts = [_qmul_int(u, x, p) if left else _qmul_int(x, u, p) for u in o.mat for x in mat]
+        acts = [qmul(u, x, p) if left else qmul(x, u, p) for u in o.mat for x in mat]
         if not lat._contains_rows(acts, o.den * den):
             raise ValueError("the candidate order does not act on the lattice")
     except ValueError as err:
@@ -285,7 +262,7 @@ class Order:
             if (2 * x[0]) % den or nrd % (den * den):
                 raise ValueError("order elements must have integral trace and norm")
             for y in mat:
-                if not _in_span(mat, _qmul_int(x, y, p), den):
+                if not _in_span(mat, qmul(x, y, p), den):
                     raise ValueError("lattice is not closed under multiplication")
 
     @property

@@ -1,13 +1,16 @@
-"""Arbitrary-precision rational quaternions over B_{p,oo} for p = 3 mod 4.
+"""Exact rational quaternions over B_{p,oo} for p = 3 mod 4.
 
 The algebra has basis 1, i, j, k with i^2 = -1, j^2 = -p and k = ij = -ji.
-All coordinates are `fractions.Fraction`, so arithmetic is exact.
+A quaternion is four integers over one positive denominator in lowest terms,
+the same form as the rows of an `orders.Lattice4`, and `qmul` is the one
+product formula for both.  Coordinates, norms and traces are handed out as
+`fractions.Fraction`; arithmetic is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -63,7 +66,9 @@ class QuatAlgebra:
         return f"QuatAlgebra(p={self.p})"
 
     def quaternion(self, a0: Rat, a1: Rat = 0, a2: Rat = 0, a3: Rat = 0) -> "Quaternion":
-        return Quaternion(self, Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3))
+        co = [Fraction(a) for a in (a0, a1, a2, a3)]
+        den = lcm(*(c.denominator for c in co))
+        return Quaternion(self, tuple(c.numerator * (den // c.denominator) for c in co), den)
 
     def zero(self) -> "Quaternion":
         return self.quaternion(0)
@@ -80,63 +85,76 @@ class QuatAlgebra:
         return one, i, j, k
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Element a0 + a1*i + a2*j + a3*k of B_{p,oo}, coordinates in Q."""
+def qmul(x, y, p: int) -> tuple[int, int, int, int]:
+    """Product of quaternions given by their coordinates as 4-tuples."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0 - x1 * y1 - p * (x2 * y2 + x3 * y3),
+        x0 * y1 + x1 * y0 + p * (x2 * y3 - x3 * y2),
+        x0 * y2 + x2 * y0 - x1 * y3 + x3 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
 
-    alg: QuatAlgebra
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
+
+class Quaternion:
+    """Element (n0 + n1*i + n2*j + n3*k)/den of B_{p,oo}.
+
+    Stored as four integers `num` over a positive integer `den` with
+    gcd(den, *num) = 1, so equal quaternions have equal fields; zero is
+    (0, 0, 0, 0)/1.  Instances are immutable by convention.
+    """
+
+    __slots__ = ("alg", "num", "den")
+
+    def __init__(self, alg: QuatAlgebra, num: tuple[int, int, int, int], den: int = 1):
+        if not den:
+            raise ZeroDivisionError("quaternion denominator is zero")
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+        self.alg = alg
+        self.num = tuple(num)
+        self.den = den
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a0, self.a1, self.a2, self.a3)
+        return tuple(Fraction(v, self.den) for v in self.num)
 
-    def int_coords(self) -> tuple[tuple[int, int, int, int], int]:
-        """Coordinates as (4 integers, common positive denominator)."""
-        from math import lcm
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num and self.alg == other.alg
 
-        den = lcm(self.a0.denominator, self.a1.denominator,
-                  self.a2.denominator, self.a3.denominator)
-        return (
-            (int(self.a0 * den), int(self.a1 * den),
-             int(self.a2 * den), int(self.a3 * den)),
-            den,
-        )
+    def __hash__(self):
+        return hash((self.alg, self.num, self.den))
 
     def _check_same(self, other: "Quaternion"):
-        if self.alg != other.alg:
+        if self.alg.p != other.alg.p:
             raise ValueError("quaternions live in different algebras (distinct p)")
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         self._check_same(other)
-        return Quaternion(self.alg, self.a0 + other.a0, self.a1 + other.a1,
-                          self.a2 + other.a2, self.a3 + other.a3)
+        d1, d2 = self.den, other.den
+        return Quaternion(self.alg, [x * d2 + y * d1 for x, y in zip(self.num, other.num)], d1 * d2)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        self._check_same(other)
-        return Quaternion(self.alg, self.a0 - other.a0, self.a1 - other.a1,
-                          self.a2 - other.a2, self.a3 - other.a3)
+        return self + -other
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(self.alg, -self.a0, -self.a1, -self.a2, -self.a3)
+        return Quaternion(self.alg, tuple(-v for v in self.num), self.den)
 
     def __mul__(self, other) -> "Quaternion":
+        if isinstance(other, Quaternion):
+            self._check_same(other)
+            return Quaternion(self.alg, qmul(self.num, other.num, self.alg.p),
+                              self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Quaternion(self.alg, self.a0 * c, self.a1 * c, self.a2 * c, self.a3 * c)
-        self._check_same(other)
-        p = self.alg.p
-        x0, x1, x2, x3 = self.a0, self.a1, self.a2, self.a3
-        y0, y1, y2, y3 = other.a0, other.a1, other.a2, other.a3
-        return Quaternion(
-            self.alg,
-            x0 * y0 - x1 * y1 - p * (x2 * y2 + x3 * y3),
-            x0 * y1 + x1 * y0 + p * (x2 * y3 - x3 * y2),
-            x0 * y2 + x2 * y0 - x1 * y3 + x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-        )
+            return Quaternion(self.alg, tuple(v * other.numerator for v in self.num),
+                              self.den * other.denominator)
+        return NotImplemented
 
     def __rmul__(self, other) -> "Quaternion":
         if isinstance(other, (int, Fraction)):
@@ -145,20 +163,21 @@ class Quaternion:
 
     def __truediv__(self, other) -> "Quaternion":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Quaternion(self.alg, self.a0 / c, self.a1 / c, self.a2 / c, self.a3 / c)
+            return Quaternion(self.alg, tuple(v * other.denominator for v in self.num),
+                              self.den * other.numerator)
         self._check_same(other)
         return self * other.inverse()
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.alg, self.a0, -self.a1, -self.a2, -self.a3)
+        n0, n1, n2, n3 = self.num
+        return Quaternion(self.alg, (n0, -n1, -n2, -n3), self.den)
 
     def reduced_norm(self) -> Fraction:
-        p = self.alg.p
-        return self.a0 ** 2 + self.a1 ** 2 + p * (self.a2 ** 2 + self.a3 ** 2)
+        n0, n1, n2, n3 = self.num
+        return Fraction(n0 * n0 + n1 * n1 + self.alg.p * (n2 * n2 + n3 * n3), self.den ** 2)
 
     def reduced_trace(self) -> Fraction:
-        return 2 * self.a0
+        return Fraction(2 * self.num[0], self.den)
 
     def inverse(self) -> "Quaternion":
         n = self.reduced_norm()
@@ -167,7 +186,7 @@ class Quaternion:
         return self.conjugate() / n
 
     def is_zero(self) -> bool:
-        return self.a0 == 0 and self.a1 == 0 and self.a2 == 0 and self.a3 == 0
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()

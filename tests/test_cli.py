@@ -101,6 +101,24 @@ def test_verify_failure_exit_code(tmp_path):
     assert run_cli(["verify", "--in", str(bad)]) == 1
 
 
+def test_arithmetic_error_is_algorithm_failure(tmp_path, monkeypatch, capsys):
+    from quatisom import isom
+    from quatisom.division import NotDivisibleError
+
+    def fail(*args, **kwargs):
+        raise NotDivisibleError("patched division failure")
+
+    inst = tmp_path / "inst.json"
+    assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "4", "--seed", "4",
+                    "--out", str(inst)]) == 0
+    monkeypatch.setattr(isom, "principal_ideal_divide", fail)
+    capsys.readouterr()
+    assert run_cli(["lowdisc", "--in", str(inst), "--seed", "1",
+                    "--out", str(tmp_path / "cert.json")]) == 2
+    err = capsys.readouterr().err
+    assert "algorithm failed: NotDivisibleError: patched division failure" in err
+
+
 def test_missing_file_is_input_error():
     assert run_cli(["verify", "--in", "/nonexistent/xyz.json"]) == 3
 

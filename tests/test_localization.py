@@ -52,6 +52,39 @@ def test_splitting_is_ring_hom(o0_103):
         assert det == x.reduced_norm().numerator * pow(x.reduced_norm().denominator, -1, mod) % mod
 
 
+def _to_matrix_reference(sp, x):
+    """The image of x computed coordinate by coordinate on its Fractions."""
+    co = []
+    for c in x.coords():
+        if c.denominator % sp.ell == 0:
+            raise ValueError("denominator not invertible mod l^m")
+        co.append(c.numerator * pow(c.denominator, -1, sp.mod) % sp.mod)
+    ent = [sum(sp._phi[r][c] * co[c] for c in range(4)) % sp.mod for r in range(4)]
+    return ((ent[0], ent[1]), (ent[2], ent[3]))
+
+
+@pytest.mark.parametrize("ell, m", [(3, 5), (5, 2), (7, 3)])
+def test_to_matrix_matches_per_coordinate(o0_103, ell, m):
+    # half-integer and other denominators prime to l: one check on the
+    # common denominator gives the per-coordinate image; l | den raises
+    sp = split_order(o0_103, ell, m)
+    rng = random.Random(ell)
+    alg = o0_103.alg
+    for _ in range(100):
+        dens = [rng.choice((1, 2, 4, 6, 11)) for _ in range(4)]
+        x = alg.quaternion(*(Fraction(rng.randint(-99, 99), d) for d in dens))
+        if x.den % ell == 0:
+            continue
+        assert sp.to_matrix(x) == _to_matrix_reference(sp, x)
+    for b in o0_103.basis():
+        assert sp.to_matrix(b) == _to_matrix_reference(sp, b)
+    bad = alg.quaternion(1, Fraction(1, 2), 0, Fraction(2, ell))
+    with pytest.raises(ValueError, match="not invertible"):
+        sp.to_matrix(bad)
+    with pytest.raises(ValueError, match="not invertible"):
+        _to_matrix_reference(sp, bad)
+
+
 def test_splitting_roundtrip(o0_103):
     sp = split_order(o0_103, 3, 4)
     for b in o0_103.basis():

@@ -5,7 +5,7 @@ import pytest
 
 from quatisom import (QuatAlgebra, cornacchia, equivalent_power_norm_ideal,
                       random_left_ideal, represent_integer, standard_extremal_order)
-from quatisom.normeq import _ideal_is_primitive, _sum_of_two_squares
+from quatisom.normeq import _factorize, _ideal_is_primitive, _sum_of_two_squares
 from quatisom.orders import SamplingBudgetError
 
 
@@ -20,6 +20,29 @@ def brute_cornacchia(d, m):
                 out.append((x, y))
         x += 1
     return out
+
+
+def _factorize_reference(n):
+    """Plain trial division by every integer up to sqrt(n)."""
+    out = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    for m in range(1, 20000):
+        assert _factorize(m) == _factorize_reference(m), m
+    for m in (3 ** 25, (2 ** 31 - 1) * (2 ** 13 - 1), 10 ** 12 + 39, 1000003 ** 2):
+        assert _factorize(m) == _factorize_reference(m), m
+    # the Mersenne prime 2^61 - 1, beyond the reach of the plain reference
+    assert _factorize(2 ** 61 - 1) == {2 ** 61 - 1: 1}
 
 
 def test_cornacchia_examples():

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quatisom import QuatAlgebra, conjugate, multiply, reduced_norm, reduced_trace
+from quatisom import QuatAlgebra, Quaternion, conjugate, multiply, reduced_norm, reduced_trace
+from quatisom.serialization import quaternion_from_json, quaternion_to_json
 
 
 def rand_quat(alg, rng, span=9, den=2):
@@ -63,7 +66,7 @@ def test_conjugation_properties(alg103):
         assert conjugate(conjugate(x)) == x
         assert conjugate(x * y) == conjugate(y) * conjugate(x)
         assert x + conjugate(x) == alg103.quaternion(reduced_trace(x))
-        assert reduced_trace(x) == 2 * x.a0
+        assert reduced_trace(x) == 2 * x.coords()[0]
 
 
 def test_norm_formula_paper_values(alg103):
@@ -117,3 +120,101 @@ def test_mismatched_algebras(alg103, alg503):
         multiply(alg103.one(), alg503.one())
     with pytest.raises(ValueError):
         alg103.one() + alg503.one()
+
+
+# Reference: the same algebra on four Fraction coordinates, computed
+# coordinate by coordinate, independent of the integer form under test.
+
+def _ref_mul(x, y, p):
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 - x1 * y1 - p * (x2 * y2 + x3 * y3),
+            x0 * y1 + x1 * y0 + p * (x2 * y3 - x3 * y2),
+            x0 * y2 + x2 * y0 - x1 * y3 + x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+
+def _ref_nrd(x, p):
+    return x[0] ** 2 + x[1] ** 2 + p * (x[2] ** 2 + x[3] ** 2)
+
+
+def _ref_conj(x):
+    return (x[0], -x[1], -x[2], -x[3])
+
+
+def _ref_repr(x):
+    terms = []
+    for c, sym in zip(x, ("", "i", "j", "k")):
+        if c == 0:
+            continue
+        s = str(c) if not sym else (sym if abs(c) == 1 else f"{abs(c)}*{sym}")
+        if sym and c < 0:
+            s = "-" + s
+        terms.append(s if not terms or s.startswith("-") else "+" + s)
+    return "".join(terms) if terms else "0"
+
+
+_frac = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+_coords = st.tuples(_frac, _frac, _frac, _frac)
+_scalar = st.one_of(st.integers(-30, 30), _frac)
+
+
+def _canonical(q):
+    return q.den > 0 and gcd(q.den, *q.num) == 1 and all(isinstance(v, int) for v in q.num)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_coords, y=_coords, c=_scalar)
+def test_integer_form_matches_fraction_reference(alg103, x, y, c):
+    p = alg103.p
+    qx, qy = alg103.quaternion(*x), alg103.quaternion(*y)
+    assert qx.coords() == x and qy.coords() == y
+    results = {
+        "add": (qx + qy, tuple(a + b for a, b in zip(x, y))),
+        "sub": (qx - qy, tuple(a - b for a, b in zip(x, y))),
+        "neg": (-qx, tuple(-a for a in x)),
+        "mul": (qx * qy, _ref_mul(x, y, p)),
+        "conj": (qx.conjugate(), _ref_conj(x)),
+        "scalar_mul": (qx * c, tuple(a * c for a in x)),
+        "scalar_rmul": (c * qx, tuple(c * a for a in x)),
+    }
+    if c != 0:
+        results["scalar_div"] = (qx / c, tuple(a / c for a in x))
+    n = _ref_nrd(y, p)
+    if n != 0:
+        results["inverse"] = (qy.inverse(), tuple(a / n for a in _ref_conj(y)))
+        results["div"] = (qx / qy, _ref_mul(x, tuple(a / n for a in _ref_conj(y)), p))
+    for name, (got, ref) in results.items():
+        assert got.coords() == ref, name
+        assert _canonical(got), name
+        assert got == alg103.quaternion(*ref), name
+    assert qx.reduced_norm() == _ref_nrd(x, p)
+    assert qx.reduced_trace() == 2 * x[0]
+    assert all(isinstance(v, Fraction) for v in qx.coords())
+    assert isinstance(qx.reduced_norm(), Fraction) and isinstance(qx.reduced_trace(), Fraction)
+    assert qx.is_zero() == (x == (0, 0, 0, 0))
+    assert repr(qx) == _ref_repr(x)
+    text = quaternion_to_json(qx)
+    assert text == [f"{a.numerator}/{a.denominator}" for a in x]
+    back = quaternion_from_json(alg103, text)
+    assert back == qx and (back.num, back.den) == (qx.num, qx.den)
+
+
+def test_integer_form_is_canonical(alg103):
+    a = Quaternion(alg103, (2, 4, 6, 8), 4)
+    b = Quaternion(alg103, (1, 2, 3, 4), 2)
+    assert a == b and hash(a) == hash(b)
+    assert (a.num, a.den) == ((1, 2, 3, 4), 2)
+    assert alg103.quaternion(Fraction(1, 2), 1, Fraction(3, 2), 2) == b
+    for zero in (alg103.zero(), Quaternion(alg103, (0, 0, 0, 0), 7), b - b, 0 * b):
+        assert (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    neg = Quaternion(alg103, (1, 2, 3, 4), -6)
+    assert (neg.num, neg.den) == ((-1, -2, -3, -4), 6)
+    assert neg == alg103.quaternion(Fraction(-1, 6), Fraction(-1, 3), Fraction(-1, 2),
+                                    Fraction(-2, 3))
+    with pytest.raises(ZeroDivisionError):
+        Quaternion(alg103, (1, 0, 0, 0), 0)
+    with pytest.raises(ZeroDivisionError):
+        b / 0
+    with pytest.raises(ZeroDivisionError):
+        alg103.zero().inverse()
