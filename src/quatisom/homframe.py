@@ -257,8 +257,9 @@ class Certificate:
         xi = self.xi11 * self.d21 - self.xi21 * self.d11
         if xi.reduced_norm() != self.d11 * self.d21 * self.i_psi.nrd():
             return False
-        j11 = self.i_psi.conjugate().lattice.mul(self.i11.lattice)
-        j21 = self.i_psi.conjugate().lattice.mul(self.i21.lattice)
+        psi_bar = self.i_psi.lattice.conjugate()
+        j11 = psi_bar.mul(self.i11.lattice)
+        j21 = psi_bar.mul(self.i21.lattice)
         if not (j11.contains(self.xi11) and j21.contains(self.xi21)):
             return False
         if j11.mul(self.i12.conjugate().lattice) != o2.lattice.rmul_q(self.xi11):

@@ -66,16 +66,57 @@ def _principal_generator(lat, order: Order) -> Quaternion | None:
     return gen
 
 
+def _frame_times(node, lat):
+    """frame(node)*lat for a left lattice of node.order.
+
+    A base node's frame is O0, and O0*X = X for a left O0-lattice X, so a
+    base frame costs no product.
+    """
+    return lat if node.is_base() else node.frame.lattice.mul(lat)
+
+
 def _solve_morphism_elem(src, dst, ideal: Ideal) -> Quaternion | None:
     """b with kernel_ideal(Mor(src, dst, b)) = ideal, or None.
 
     Solves frame(dst)*b = frame(src)*ideal by a principal-generator search.
     """
-    if dst.frame.lattice == src.frame.lattice.mul(ideal.lattice):
+    target = _frame_times(src, ideal.lattice)
+    if dst.frame.lattice == target:
         return src.alg.one()
-    lat = dst.frame.lattice.conjugate().mul(src.frame.lattice.mul(ideal.lattice))
+    lat = dst.frame.lattice.conjugate().mul(target)
     lat = lat.scale(Fraction(1, dst.frame_norm()))
     return _principal_generator(lat, dst.order)
+
+
+def _canonical_generator(order: Order, b: Quaternion) -> Quaternion:
+    """The generator of order*b that `_principal_generator` returns, from b.
+
+    1 when b is a unit.  Otherwise the minimal-norm elements of order*b are
+    u*b for the units u, and `shortest_vector` keeps the one whose
+    coefficients on the HNF basis have a positive first nonzero entry and
+    are lexicographically smallest.
+    """
+    lat = order.lattice.rmul_q(b)
+    if lat == order.lattice:
+        return order.alg.one()
+    best = None
+    for u in order.units():
+        gen = u * b
+        coeffs = lat.coords_of(gen)
+        if next(c for c in coeffs if c) > 0 and (best is None or coeffs < best[0]):
+            best = (coeffs, gen)
+    return best[1]
+
+
+def _known_morphism_elem(src, dst, ideal: Ideal, b: Quaternion) -> Quaternion:
+    """`_solve_morphism_elem(src, dst, ideal)` from a known solution b.
+
+    Raises VerificationError unless frame(dst)*b = frame(src)*ideal.
+    """
+    if b.is_zero() or dst.frame.lattice.rmul_q(b) != _frame_times(src, ideal.lattice):
+        raise VerificationError("the given generator does not solve "
+                                "frame(dst)*b = frame(src)*I")
+    return _canonical_generator(dst.order, b)
 
 
 def _bezout_split(d11: int, d21: int) -> tuple[int, int]:
@@ -108,7 +149,9 @@ def _split_xi(j11: Ideal, j21: Ideal, d11: int, d21: int, xi: Quaternion):
     return xi11, xi21
 
 
-def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal) -> CompletionResult:
+def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
+                           generators: tuple[Quaternion, Quaternion] | None = None
+                           ) -> CompletionResult:
     """Complete the first column (I11, I21) to an isomorphism matrix
     E1 x E2 -> E1' x E2' with certificate.
 
@@ -119,6 +162,13 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal) -> Completi
     d11*d21*Nrd(I_psi); otherwise CompletionPreconditionError is raised.
     xi splits in closed form (`_split_xi`), and the second column follows
     by principal division.
+
+    The first column's quaternions b11, b21 solve frame(n1p)*b11 =
+    frame(n1)*I11 and frame(n2p)*b21 = frame(n1)*I21.  Pipelines that hold
+    such solutions pass them as `generators`; each is checked and
+    normalized to the element the principal-generator search would find, so
+    the output does not depend on which was given.  Without them the
+    search runs.
     """
     o1, o2 = n1.order, n2.order
     if i11.left_order() != o1 or i21.left_order() != o1:
@@ -127,17 +177,31 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal) -> Completi
     if gcd(d11, d21) != 1:
         raise ValueError("I11 and I21 must have coprime norms")
 
-    b11 = _solve_morphism_elem(n1, n1p, i11)
-    b21 = _solve_morphism_elem(n1, n2p, i21)
-    if b11 is None or b21 is None:
-        raise CompletionPreconditionError(
-            "input ideals are not realizable as morphisms to the given target nodes")
+    if generators is None:
+        b11 = _solve_morphism_elem(n1, n1p, i11)
+        b21 = _solve_morphism_elem(n1, n2p, i21)
+        if b11 is None or b21 is None:
+            raise CompletionPreconditionError(
+                "input ideals are not realizable as morphisms to the given target nodes")
+    else:
+        b11 = _known_morphism_elem(n1, n1p, i11, generators[0])
+        b21 = _known_morphism_elem(n1, n2p, i21, generators[1])
 
-    i_psi = Ideal(n1.frame.lattice.conjugate().mul(n2.frame.lattice), left=o1, right=o2)
+    # frame(n1p)*b11 = frame(n1)*I11, so O_R(I11) = b11^-1*O(n1p)*b11 without
+    # the product conj(I11)*I11; likewise for I21
+    i11 = Ideal(i11.lattice, left=o1, nrd=d11,
+                right=Order(n1p.order.lattice.lmul_q(b11.inverse()).rmul_q(b11)))
+    i21 = Ideal(i21.lattice, left=o1, nrd=d21,
+                right=Order(n2p.order.lattice.lmul_q(b21.inverse()).rmul_q(b21)))
+
+    f2 = n2.frame.lattice
+    i_psi = Ideal(f2 if n1.is_base() else n1.frame.lattice.conjugate().mul(f2),
+                  left=o1, right=o2)
     n_psi = i_psi.nrd()
-    j11 = multiply_ideals(i_psi.conjugate(), i11, check_compatible=False)
+    psi_bar = i_psi.conjugate()
+    j11 = multiply_ideals(psi_bar, i11, check_compatible=False)
     j11._nrd = n_psi * d11
-    j21 = multiply_ideals(i_psi.conjugate(), i21, check_compatible=False)
+    j21 = multiply_ideals(psi_bar, i21, check_compatible=False)
     j21._nrd = n_psi * d21
     jk = Ideal(j11.lattice.scale(d21).add(j21.lattice.scale(d11)), left=o2)
     xi, val = jk.lattice.min_nonzero_norm()
@@ -168,9 +232,10 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
                                  *, attempts: int = 6) -> CompletionResult:
     """Isomorphism E0^2 -> E1' x E0 through the low-discriminant subring of O0.
 
-    Computes an equivalent l-power-norm ideal I11 for the frame of n1p, a
-    norm-l^m element alpha, a local generator x, and completes the column
-    (I11, O0*x).
+    Computes an equivalent l-power-norm ideal I11 = F*conj(beta)/Nrd(F) for
+    the frame F of n1p, a norm-l^m element alpha, a local generator x, and
+    completes the column (I11, O0*x) with the known quaternions
+    conj(beta)/Nrd(F) and x.
     """
     rng = rng or random.Random(0)
     alg = n1p.alg
@@ -179,8 +244,8 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
     last: Exception | None = None
     for attempt in range(attempts):
         try:
-            i11, _beta = equivalent_power_norm_ideal(n1p.frame, ell, rng,
-                                                     force_rebuild=attempt > 0)
+            i11, beta = equivalent_power_norm_ideal(n1p.frame, ell, rng,
+                                                    force_rebuild=attempt > 0)
             m, t = 0, i11.nrd()
             while t % ell == 0:
                 t //= ell
@@ -193,7 +258,8 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
                 raise SamplingBudgetError("no l-primitive alpha of norm l^m")
             alpha, x = local_generator(ell, i11, alpha)
             i21 = principal_ideal(o0, x)
-            return isomorphism_completion(base, n1p, base, base, i11, i21)
+            b11 = beta.conjugate() / n1p.frame_norm()
+            return isomorphism_completion(base, n1p, base, base, i11, i21, generators=(b11, x))
         except (SamplingBudgetError, CompletionPreconditionError, ValueError) as err:
             last = err
     raise SamplingBudgetError(f"low_discriminant_isomorphism failed: {last}")
@@ -210,11 +276,13 @@ def isomorphism_E0(n1, n2, rng: random.Random | None = None, *,
     if len({ell1, ell2, ell_low, alg.p}) != 4:
         raise ValueError("the three primes and p must be pairwise distinct")
     base = base_node(alg)
-    i1, _ = equivalent_power_norm_ideal(n1.frame, ell1, rng)
-    i2, _ = equivalent_power_norm_ideal(n2.frame, ell2, rng)
+    i1, beta1 = equivalent_power_norm_ideal(n1.frame, ell1, rng)
+    i2, beta2 = equivalent_power_norm_ideal(n2.frame, ell2, rng)
     ik = sum_kernel_ideal(i1, i2)
     n3 = node_from_ideal(ik)
-    f_mat = isomorphism_completion(base, n1, n3, n2, i1, i2).matrix
+    # I = frame*conj(beta)/Nrd(frame): the column quaternions are conj(beta)/Nrd(frame)
+    gens = (beta1.conjugate() / n1.frame_norm(), beta2.conjugate() / n2.frame_norm())
+    f_mat = isomorphism_completion(base, n1, n3, n2, i1, i2, generators=gens).matrix
     g_mat = low_discriminant_isomorphism(n3, ell_low, rng).matrix
     g_swapped = swap_rows(g_mat)  # E0^2 -> E0 x E3
     out = mat_compose(f_mat, g_swapped)

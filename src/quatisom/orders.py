@@ -8,6 +8,7 @@ Hermite normal form so that structural equality is mathematical equality.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 from fractions import Fraction
 from math import gcd, lcm, isqrt
@@ -138,12 +139,7 @@ class Lattice4:
         return Lattice4(self.alg, rows, d)
 
     def mul(self, other: "Lattice4") -> "Lattice4":
-        p = self.alg.p
-        rows = []
-        for x in self.mat:
-            for y in other.mat:
-                rows.append(qmul(x, y, p))
-        return Lattice4(self.alg, rows, self.den * other.den)
+        return _lattice_mul(self, other)
 
     def scale(self, c) -> "Lattice4":
         """c*L without a new HNF: a positive multiple of an HNF basis is in
@@ -202,6 +198,19 @@ class Lattice4:
         target = Fraction(value) * self.den ** 2
         vecs = vectors_of_value([list(r) for r in self.mat], nrd_gram(self.alg.p), target)
         return [Quaternion(self.alg, tuple(vec), self.den) for vec in vecs]
+
+
+@lru_cache(maxsize=8)
+def _lattice_mul(a: Lattice4, b: Lattice4) -> Lattice4:
+    """a*b from the 16 products of basis rows, memoized by value.
+
+    A completion builds J11, J21 and the two J*W products, and its
+    certificate check builds the same four again; the few most recent
+    products are kept so each is reduced once.  Lattices are immutable, so
+    a kept result can be shared.
+    """
+    p = a.alg.p
+    return Lattice4(a.alg, [qmul(x, y, p) for x in a.mat for y in b.mat], a.den * b.den)
 
 
 def _unit_order(lat: Lattice4, left: bool) -> "Order":

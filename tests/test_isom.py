@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -10,15 +11,18 @@ from pathlib import Path
 import pytest
 
 import quatisom
-from quatisom import (CompletionPreconditionError, SamplingBudgetError, VerificationError,
-                      base_node, isom_g_products, isom_two_products, isomorphism_E0,
+from quatisom import (CompletionPreconditionError, QuatAlgebra, SamplingBudgetError,
+                      VerificationError, base_node, equivalent_power_norm_ideal,
+                      isom_g_products, isom_two_products, isomorphism_E0,
                       isomorphism_completion, kani_degree, kernel_ideal,
                       low_discriminant_isomorphism, node_from_ideal, principal_ideal,
-                      random_left_ideal, sum_kernel_ideal, swap_with_E0,
-                      verify_ideal_quadruple)
+                      random_left_ideal, standard_extremal_order, sum_kernel_ideal,
+                      swap_with_E0, verify_ideal_quadruple)
+from quatisom import isom, orders
 from quatisom.homframe import transpose, mat_compose
-from quatisom.isom import _bezout_split, _principal_generator, is_isomorphic_order
-from quatisom.orders import Lattice4
+from quatisom.isom import (_bezout_split, _canonical_generator, _principal_generator,
+                           is_isomorphic_order)
+from quatisom.orders import Lattice4, Order
 
 
 def test_principal_generator(o0_103, alg103):
@@ -343,26 +347,127 @@ def test_split_checks_survive_python_O(pair, message):
 
 def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     # completion, division, orders and norms are closed form: no pipeline may
-    # reach HNF with transform, the integer kernel or system solver, or a
-    # lattice intersection
+    # reach HNF with transform, the integer kernel or system solver, a
+    # lattice intersection or the principal-generator search (the pipelines
+    # hold their generators), and a completion reduces at most four 16-row
+    # products: J11, J21 and the two division identities
     rng = random.Random(94)
     nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(4)]
 
     def forbidden(*args, **kwargs):
-        pytest.fail("a pipeline called the generic integer solver layer")
+        pytest.fail("a pipeline called the generic solver layer or the generator search")
 
     for name, module in list(sys.modules.items()):
         if name == "quatisom" or name.startswith("quatisom."):
-            for attr in ("hnf", "kernel_basis", "solve_integer"):
+            for attr in ("hnf", "kernel_basis", "solve_integer", "_principal_generator"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
     monkeypatch.setattr(Lattice4, "intersect", forbidden)
+
+    counts, active = [], []
+    hnf_rows, completion = orders.hnf_rows, isom.isomorphism_completion
+
+    def counting_hnf_rows(mat):
+        if active and len(mat) == 16:
+            counts[-1] += 1
+        return hnf_rows(mat)
+
+    def counted_completion(*args, **kwargs):
+        orders._lattice_mul.cache_clear()  # count every product the completion needs
+        counts.append(0)
+        active.append(True)
+        try:
+            return completion(*args, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(orders, "hnf_rows", counting_hnf_rows)
+    monkeypatch.setattr(isom, "isomorphism_completion", counted_completion)
 
     assert kani_degree(low_discriminant_isomorphism(nodes[0], 3, rng).matrix) == 1
     assert kani_degree(isomorphism_E0(nodes[0], nodes[1], rng)) == 1
     assert kani_degree(isom_two_products(*nodes, rng)) == 1
     chain = isom_g_products(nodes[:3], nodes[1:], rng)
     assert [kani_degree(mat) for _, mat in chain] == [1, 1]
+    assert len(counts) == 1 + 2 + 4 + 8
+    assert max(counts) <= 4, counts
+
+
+def _pipeline_column(o0, rng):
+    """The first column isomorphism_E0 completes, with its known quaternions."""
+    n1, n2 = (node_from_ideal(random_left_ideal(o0, 3, 3, rng)) for _ in range(2))
+    i1, beta1 = equivalent_power_norm_ideal(n1.frame, 3, rng)
+    i2, beta2 = equivalent_power_norm_ideal(n2.frame, 5, rng)
+    n3 = node_from_ideal(sum_kernel_ideal(i1, i2))
+    gens = (beta1.conjugate() / n1.frame_norm(), beta2.conjugate() / n2.frame_norm())
+    return (base_node(o0.alg), n1, n3, n2, i1, i2), gens
+
+
+def test_completion_from_generators_matches_search(o0_103):
+    args, gens = _pipeline_column(o0_103, random.Random(95))
+    searched = isomorphism_completion(*args)
+    given = isomorphism_completion(*args, generators=gens)
+    assert given.matrix == searched.matrix
+    assert given.certificate == searched.certificate
+    # -1 is a unit of every order, so it normalizes away
+    flipped = isomorphism_completion(*args, generators=(-gens[0], -gens[1]))
+    assert flipped.certificate == searched.certificate
+
+
+def test_completion_rejects_wrong_generator(o0_103, alg103):
+    args, gens = _pipeline_column(o0_103, random.Random(96))
+    one_plus_i = alg103.quaternion(1, 1)
+    with pytest.raises(VerificationError):
+        isomorphism_completion(*args, generators=(gens[0] * one_plus_i, gens[1]))
+    with pytest.raises(VerificationError):
+        isomorphism_completion(*args, generators=(gens[0], gens[1] * one_plus_i))
+    with pytest.raises(VerificationError):
+        isomorphism_completion(*args, generators=(alg103.zero(), gens[1]))
+
+
+def test_swapped_certificate_fails_with_warm_product_memo(o0_103):
+    # right after a completion its products are memoized; the benchmark's
+    # negative control (I12 replaced by I22) must still be rejected
+    res = low_discriminant_isomorphism(node_from_ideal(random_left_ideal(o0_103, 5, 3,
+                                                                         random.Random(97))),
+                                       3, random.Random(98))
+    cert = res.certificate
+    assert orders._lattice_mul.cache_info().currsize > 0
+    assert cert.i12 != cert.i22
+    assert cert.verify(o0_103)
+    assert not replace(cert, i12=cert.i22).verify(o0_103)
+    assert not replace(cert, i22=cert.i12).verify(o0_103)
+
+
+def _random_quaternion(alg, rng):
+    while True:
+        q = alg.quaternion(*(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                             for _ in range(4)))
+        if not q.is_zero():
+            return q
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_canonical_generator_matches_search(p):
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p)
+    orders_ = [o0]
+    for _ in range(6):
+        orders_.append(random_left_ideal(o0, 3, 4, rng).right_order())
+    for _ in range(3):
+        # conjugates of O0 keep its four units
+        a = _random_quaternion(alg, rng)
+        orders_.append(Order(o0.lattice.lmul_q(a.inverse()).rmul_q(a)))
+    unit_counts = {len(o.units()) for o in orders_}
+    assert {2, 4} <= unit_counts
+    for order in orders_:
+        for _ in range(4):
+            g = _random_quaternion(alg, rng)
+            expected = _principal_generator(order.lattice.rmul_q(g), order)
+            assert _canonical_generator(order, g) == expected
+        for u in order.units():
+            assert _canonical_generator(order, u) == alg.one()
 
 
 def test_library_has_no_assert():

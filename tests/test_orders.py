@@ -10,7 +10,8 @@ from quatisom import (Ideal, Lattice4, QuatAlgebra, connecting_ideal, ideal_norm
                       multiply_ideals, principal_ideal, random_left_ideal,
                       standard_extremal_order, two_sided_prime, unit_orders)
 from quatisom.cli import main
-from quatisom.orders import Order, _det4, left_order, right_order
+from quatisom.orders import Order, _det4, _lattice_mul, left_order, right_order
+from quatisom.quat import qmul
 from quatisom.serialization import ideal_from_json, ideal_to_json
 
 
@@ -337,3 +338,21 @@ def test_scale_matches_full_hnf(alg103, data):
     ref = Lattice4(alg103, [[v * c.numerator for v in r] for r in lat.mat], lat.den * c.denominator)
     out = lat.scale(c)
     assert (out.mat, out.den) == (ref.mat, ref.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoized_product_matches_fresh_build(alg103, data):
+    # Lattice4.mul keeps its last few products; every answer must equal a
+    # fresh HNF of the 16 row products, also after more distinct products
+    # than the memo holds have been interleaved
+    lats = data.draw(st.lists(_lattices(alg103), min_size=3, max_size=4, unique=True))
+    # the same rows over another denominator: a key must hold the whole value
+    lats.append(Lattice4(alg103, lats[0].mat, lats[0].den * 7))
+    pairs = [(x, y) for x in lats for y in lats]
+    assert len(pairs) > _lattice_mul.cache_info().maxsize
+    order = data.draw(st.permutations(pairs))
+    for x, y in order + order:
+        fresh = Lattice4(alg103, [qmul(r, s, 103) for r in x.mat for s in y.mat], x.den * y.den)
+        out = x.mul(y)
+        assert (out.mat, out.den) == (fresh.mat, fresh.den)
