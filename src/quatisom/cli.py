@@ -8,6 +8,7 @@ failure (budget exhausted), 3 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -196,7 +197,9 @@ def _run_one(func, args) -> int:
         return EXIT_VERIFY_FAILED
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; `parse_args` keeps no state in it."""
     parser = argparse.ArgumentParser(prog="quatisom",
                                      description="quaternion-side isomorphisms between "
                                                  "products of supersingular elliptic curves")
@@ -229,8 +232,11 @@ def main(argv=None) -> int:
         if "g" in extra:
             cmd.add_argument("--g", type=int, default=None)
         cmd.set_defaults(func=func)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     trials = getattr(args, "trials", 1)
     if trials <= 1:

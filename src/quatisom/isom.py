@@ -20,8 +20,8 @@ from .homframe import (Certificate, Mor, Mor2x2, VerificationError,  # noqa: F40
                        node_from_ideal, swap_rows, transpose)
 from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
-from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, multiply_ideals,
-                     principal_ideal, standard_extremal_order, two_sided_prime)
+from .orders import (Ideal, Order, SamplingBudgetError, _span_coords, connecting_ideal,
+                     multiply_ideals, principal_ideal, standard_extremal_order, two_sided_prime)
 from .quat import Quaternion
 
 
@@ -94,7 +94,8 @@ def _canonical_generator(order: Order, b: Quaternion) -> Quaternion:
     1 when b is a unit.  Otherwise the minimal-norm elements of order*b are
     u*b for the units u, and `shortest_vector` keeps the one whose
     coefficients on the HNF basis have a positive first nonzero entry and
-    are lexicographically smallest.
+    are lexicographically smallest.  Each u*b lies in order*b, so its
+    coefficients are integers (denominator 1).
     """
     lat = order.lattice.rmul_q(b)
     if lat == order.lattice:
@@ -102,7 +103,7 @@ def _canonical_generator(order: Order, b: Quaternion) -> Quaternion:
     best = None
     for u in order.units():
         gen = u * b
-        coeffs = lat.coords_of(gen)
+        _, coeffs = _span_coords(lat.mat, [v * lat.den for v in gen.num], gen.den)
         if next(c for c in coeffs if c) > 0 and (best is None or coeffs < best[0]):
             best = (coeffs, gen)
     return best[1]

@@ -1,8 +1,9 @@
 """Exact integer linear algebra on small matrices.
 
 Provides row-style Hermite normal form with transform, Smith normal form
-over Z/l^m, integer linear system solving, exact LLL reduction and
-Fincke-Pohst enumeration for positive definite forms in dimension <= 4.
+over Z/l^m, integer linear system solving, and, for positive definite forms
+in dimension <= 4, Cohen's integral LLL whose Gram-Schmidt data (the Gram
+determinants d and lambda) drives an integer Fincke-Pohst enumeration.
 
 Matrices are lists of lists of Python ints (rows); nothing here ever
 touches floating point.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 IntMatrix = list[list[int]]
 Form = list[list[int | Fraction]]  # a quadratic form: integer or rational entries
@@ -284,45 +285,45 @@ def gram_of(basis: IntMatrix, form: Form) -> list[list[int | Fraction]]:
     return [[sum(fb[i][t] * basis[j][t] for t in range(d)) for j in range(n)] for i in range(n)]
 
 
-def lll_reduce(basis: IntMatrix, form: Form) -> tuple[IntMatrix, IntMatrix]:
-    """Exact integral LLL (delta = 3/4) of a full-rank basis under a positive
-    definite rational form.
+def _form_dot(form: Form):
+    """(dot, scale): the bilinear form of scale*form on integer vectors, with
+    scale the lcm of the entries' denominators.  A diagonal form, such as the
+    reduced norm (1, 1, p, p), takes the diagonal sum."""
+    scale = lcm(*(v.denominator for row in form for v in row))
+    g = [[v.numerator * (scale // v.denominator) for v in row] for row in form]
+    diag = [g[i][i] for i in range(len(g))]
+    if all(g[i][j] == 0 for i in range(len(g)) for j in range(len(g)) if i != j):
+        return (lambda x, y: sum(a * w * c for a, w, c in zip(x, diag, y))), scale
+    return (lambda x, y: sum(x[i] * gi[j] * y[j] for i, gi in enumerate(g)
+                             for j in range(len(g)))), scale
 
-    Returns (reduced_basis, transform) with transform * basis = reduced_basis.
-    All arithmetic is on integers (Cohen's integral LLL with the d/lambda
-    bookkeeping); the form is scaled to integer values first.
+
+def _gs_row(b: IntMatrix, k: int, d: list[int], lam: IntMatrix, dot) -> None:
+    """Integral Gram-Schmidt data of row k (Cohen, GTM 138, Alg. 2.6.7): the
+    Gram determinants d[k+1] and lam[k][j] = d[j+1]*mu[k][j], all integers."""
+    for j in range(k + 1):
+        t = dot(b[k], b[j])
+        for i in range(j):
+            t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = t
+        else:
+            d[k + 1] = t
+            if t <= 0:
+                raise ValueError("form is not positive definite on the basis (rank deficiency?)")
+
+
+def _lll(basis: IntMatrix, dot) -> tuple[IntMatrix, IntMatrix, list[int], IntMatrix]:
+    """Cohen's integral LLL (delta = 3/4, GTM 138, Alg. 2.6.7).
+
+    Returns (b, u, d, lam): the reduced basis, the transform with
+    u * basis = b, and the integral Gram-Schmidt data of b.
     """
     n = len(basis)
-    scale = 1
-    for row in form:
-        for v in row:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-    g_int = [[int(v * scale) for v in row] for row in form]
-
-    def dot(x, y):
-        d = len(g_int)
-        return sum(x[i] * g_int[i][j] * y[j] for i in range(d) for j in range(d))
-
     b = [row[:] for row in basis]
     u = identity_matrix(n)
-    if n == 1:
-        return b, u
-
     lam = [[0] * n for _ in range(n)]
-    d = [0] * (n + 1)
-    d[0] = 1
-
-    def incremental_gram(k: int):
-        for j in range(k + 1):
-            t = dot(b[k], b[j])
-            for i in range(j):
-                t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = t
-            else:
-                d[k + 1] = t
-                if t <= 0:
-                    raise ValueError("form is not positive definite on the basis (rank deficiency?)")
+    d = [1] + [0] * n
 
     def redi(k: int, l: int):
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -346,13 +347,13 @@ def lll_reduce(basis: IntMatrix, form: Form) -> tuple[IntMatrix, IntMatrix]:
             lam[i][k - 1] = (bb * t + lb * lam[i][k]) // d[k + 1]
         d[k] = bb
 
-    incremental_gram(0)
+    _gs_row(b, 0, d, lam, dot)
     kmax = 0
     k = 1
     while k < n:
         if k > kmax:
             kmax = k
-            incremental_gram(k)
+            _gs_row(b, k, d, lam, dot)
         redi(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] * lam[k][k - 1]:
             swapi(k, kmax)
@@ -361,79 +362,72 @@ def lll_reduce(basis: IntMatrix, form: Form) -> tuple[IntMatrix, IntMatrix]:
             for l in range(k - 2, -1, -1):
                 redi(k, l)
             k += 1
+    return b, u, d, lam
+
+
+def lll_reduce(basis: IntMatrix, form: Form) -> tuple[IntMatrix, IntMatrix]:
+    """Exact integral LLL (delta = 3/4) of a full-rank basis under a positive
+    definite rational form.
+
+    Returns (reduced_basis, transform) with transform * basis = reduced_basis.
+    All arithmetic is on integers (Cohen's integral LLL with the d/lambda
+    bookkeeping); the form is scaled to integer values first.
+    """
+    b, u, _, _ = _lll(basis, _form_dot(form)[0])
     return b, u
 
 
-def _floor_sqrt_frac(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0 rational."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator * x.denominator) // x.denominator
+def _fincke_pohst(d: list[int], lam: IntMatrix, bound_num: int, bound_den: int):
+    """Integer Fincke-Pohst on integral Gram-Schmidt data (Cohen, Alg. 2.7.5).
 
-
-def _coord_range(center: Fraction, radius_sq: Fraction) -> tuple[int, int]:
-    """Integer x with (x - center)^2 <= radius_sq, as inclusive [lo, hi].
-
-    Returns an empty range (lo > hi) when no integer qualifies.
+    With w_j = d_j*d_{j+1}, M = lcm(w) and t_j = d_{j+1}*x_j + sum_{k>j}
+    lam[k][j]*x_k, the integer form value of x is sum_j t_j^2/w_j.  Returns
+    (M, found), found listing (x, M * value) for every x != 0 with value <=
+    bound_num/bound_den and its last nonzero entry positive.  Level n-1 is
+    fixed first and each level runs upward, so the order is deterministic.
     """
-    if radius_sq < 0:
-        return (1, 0)
-    s = _floor_sqrt_frac(radius_sq)
-    num, den = center.numerator, center.denominator
-    lo = -((-(num - s * den)) // den) - 1  # ceil(center - s) - 1
-    hi = (num + s * den) // den + 1        # floor(center + s) + 1
-    while lo <= hi and (Fraction(lo) - center) ** 2 > radius_sq:
-        lo += 1
-    while hi >= lo and (Fraction(hi) - center) ** 2 > radius_sq:
-        hi -= 1
-    return lo, hi
+    n = len(d) - 1
+    m = lcm(*(d[j] * d[j + 1] for j in range(n)))
+    c = [m // (d[j] * d[j + 1]) for j in range(n)]
+    limit = bound_num * m // bound_den
+    x = [0] * n
+    found = []
+
+    def recurse(level: int, rem: int):
+        sigma = sum(lam[t][level] * x[t] for t in range(level + 1, n))
+        dl, cl = d[level + 1], c[level]
+        s = isqrt(rem // cl)
+        for v in range(-((s + sigma) // dl), (s - sigma) // dl + 1):
+            x[level] = v
+            t = dl * v + sigma
+            left = rem - cl * t * t
+            if level:
+                recurse(level - 1, left)
+            elif any(x) and x[max(i for i in range(n) if x[i])] > 0:
+                found.append((x[:], limit - left))
+        x[level] = 0
+
+    if limit >= 0:
+        recurse(n - 1, limit)
+    return m, found
 
 
 def enumerate_up_to(basis: IntMatrix, form: Form, bound: Fraction):
-    """Yield (coeffs, value) for every nonzero lattice vector with form value <= bound.
+    """Return (coeffs, value) for every nonzero lattice vector with form value <= bound.
 
     Only one of each +-v pair is produced (last nonzero coefficient positive).
-    Exact Fincke-Pohst on the given (ideally LLL-reduced) basis; the values
-    are Fractions, also for an integer form.
+    Exact integer Fincke-Pohst on the given (ideally LLL-reduced) basis; the
+    values are Fractions, also for an integer form.
     """
     n = len(basis)
-    g = gram_of(basis, form)
-    # LDL^T decomposition: g = L D L^T with unit lower-triangular L
-    dvec = [Fraction(0)] * n
-    lmat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        lmat[i][i] = Fraction(1)
-        dvec[i] = Fraction(g[i][i])
-        for j in range(i):
-            lmat[i][j] = Fraction(g[i][j]) - sum(lmat[i][t] * lmat[j][t] * dvec[t] for t in range(j))
-            lmat[i][j] /= dvec[j]
-            dvec[i] -= lmat[i][j] ** 2 * dvec[j]
-        if dvec[i] <= 0:
-            raise ValueError("form is not positive definite on the basis (rank deficiency?)")
-    bound = Fraction(bound)
-    x = [0] * n
-    results = []
-
-    def recurse(level: int, remaining: Fraction):
-        # value so far uses coordinates x[level+1..]; center of x[level] is
-        # -sum_{t>level} mu[t][level] * x[t]
-        center = -sum(lmat[t][level] * x[t] for t in range(level + 1, n))
-        lo, hi = _coord_range(center, remaining / dvec[level])
-        for v in range(lo, hi + 1):
-            x[level] = v
-            contrib = dvec[level] * (Fraction(v) - center) ** 2
-            if level == 0:
-                if any(x):
-                    # canonical sign: last nonzero coefficient positive
-                    idx = max(t for t in range(n) if x[t])
-                    if x[idx] > 0:
-                        results.append((x[:], bound - remaining + contrib))
-            else:
-                recurse(level - 1, remaining - contrib)
-        x[level] = 0
-
-    recurse(n - 1, bound)
-    return results
+    dot, scale = _form_dot(form)
+    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+    for k in range(n):
+        _gs_row(basis, k, d, lam, dot)
+    m, found = _fincke_pohst(d, lam, bound.numerator * scale, bound.denominator)
+    for i, (x, v) in enumerate(found):  # in place: a large bound gives a long list
+        found[i] = (x, Fraction(v, scale * m))
+    return found
 
 
 def shortest_vector(basis: IntMatrix, form: Form) -> tuple[list[int], list[int], Fraction]:
@@ -444,10 +438,9 @@ def shortest_vector(basis: IntMatrix, form: Form) -> tuple[list[int], list[int],
     Tie-break: lexicographically smallest coefficient vector among the minima
     whose first nonzero coefficient is positive.
     """
-    red, trans = lll_reduce(basis, form)
-    g = gram_of(red, form)
-    bound = Fraction(min(g[i][i] for i in range(len(red))))
-    found = enumerate_up_to(red, form, bound)
+    dot, scale = _form_dot(form)
+    red, trans, d, lam = _lll(basis, dot)
+    m, found = _fincke_pohst(d, lam, min(dot(r, r) for r in red), 1)
     best_val = min(v for _, v in found)
     candidates = []
     for coeffs_red, val in found:
@@ -463,15 +456,18 @@ def shortest_vector(basis: IntMatrix, form: Form) -> tuple[list[int], list[int],
     coeffs = min(candidates)
     vec = [sum(coeffs[t] * basis[t][c] for t in range(len(basis)))
            for c in range(len(basis[0]))]
-    return coeffs, vec, best_val
+    return coeffs, vec, Fraction(best_val, scale * m)
 
 
 def vectors_of_value(basis: IntMatrix, form: Form, value: Fraction) -> list[list[int]]:
     """All lattice vectors (both signs) of exact form value, in ambient coords."""
-    red, _ = lll_reduce(basis, form)
+    dot, scale = _form_dot(form)
+    red, _, d, lam = _lll(basis, dot)
+    num, den = value.numerator * scale, value.denominator
+    m, found = _fincke_pohst(d, lam, num, den)
     out = []
-    for coeffs, val in enumerate_up_to(red, form, Fraction(value)):
-        if val != value:
+    for coeffs, val in found:
+        if val * den != num * m:
             continue
         vec = [sum(coeffs[t] * red[t][c] for t in range(len(red)))
                for c in range(len(red[0]))]

@@ -43,6 +43,23 @@ def _in_span(rows, v, scale: int = 1) -> bool:
     return True
 
 
+def _span_coords(rows, v, den: int = 1) -> tuple[int, list[int]]:
+    """(D, y) with y/D the coordinates of v/den on rows, a full-rank
+    upper-triangular (HNF) basis, and D > 0 least: the lcm of their
+    denominators.  An integer triangular solve over a common denominator."""
+    big, y = den, []
+    for r, row in enumerate(rows):
+        num = v[r] * (big // den) - sum(y[t] * rows[t][r] for t in range(r))
+        g = gcd(num, row[r])
+        if g != row[r]:
+            k = row[r] // g
+            big *= k
+            y = [t * k for t in y]
+        y.append(num // g)
+    g = gcd(big, *y)
+    return big // g, [t // g for t in y]
+
+
 def _det3(a, b, c, d, e, f, g, h, i) -> int:
     """Determinant of the 3x3 matrix with rows (a, b, c), (d, e, f), (g, h, i)."""
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -143,8 +160,8 @@ class Lattice4:
 
     def scale(self, c) -> "Lattice4":
         """c*L without a new HNF: a positive multiple of an HNF basis is in
-        HNF, so only the content shared with the new denominator is removed."""
-        c = Fraction(c)
+        HNF, so only the content shared with the new denominator is removed.
+        c is an int or a Fraction."""
         if c == 0:
             raise ValueError("cannot scale a lattice by zero")
         num, den = abs(c.numerator), self.den * c.denominator
@@ -415,9 +432,8 @@ def connecting_ideal(o1: Order, o2: Order) -> Ideal:
     prod = o1.lattice.mul(o2.lattice)
     d = 1
     for target in (o1.lattice, o2.lattice):
-        for b in prod.basis():
-            for c in target.coords_of(b):
-                d = lcm(d, c.denominator)
+        for row in prod.mat:
+            d = lcm(d, _span_coords(target.mat, [v * target.den for v in row], prod.den)[0])
     lat = prod.scale(d) if d != 1 else prod
     return Ideal(lat, left=o1, right=o2)
 

@@ -1,8 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from importlib import resources
+from pathlib import Path
 
+import quatisom
 from quatisom.cli import main
+
+# subprocesses import the same quatisom as the tests, also when the suite is
+# run without PYTHONPATH
+ENV = dict(os.environ, PYTHONPATH=str(Path(quatisom.__file__).resolve().parents[1]))
 
 
 def run_cli(args):
@@ -134,6 +142,36 @@ def test_trials_flag(tmp_path):
 
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "quatisom.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     assert "gen" in proc.stdout
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    # verify, complete and verify again in one process give the files and
+    # exit codes of separate invocations
+    fixture = resources.files("quatisom") / "fixtures" / "worked_example_p103.json"
+    inst = tmp_path / "inst.json"
+    alt = tmp_path / "alt.json"
+    assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "3", "--seed", "5",
+                    "--out", str(inst)]) == 0
+    assert run_cli(["gen", "--p", "103", "--ell", "5", "--m", "2", "--seed", "6",
+                    "--out", str(alt)]) == 0
+    data = json.loads(inst.read_text())
+    data["ideals"] = [data["ideals"][0], json.loads(alt.read_text())["ideals"][0]]
+    inst.write_text(json.dumps(data))
+    outputs = {}
+    for mode in ("same", "separate"):
+        d = tmp_path / mode
+        d.mkdir()
+        steps = [["verify", "--in", str(fixture), "--out", str(d / "v1.json")],
+                 ["complete", "--in", str(inst), "--out", str(d / "cert.json")],
+                 ["verify", "--in", str(d / "cert.json"), "--out", str(d / "v2.json")]]
+        if mode == "same":
+            codes = [run_cli(argv) for argv in steps]
+        else:
+            codes = [subprocess.run([sys.executable, "-m", "quatisom.cli", *argv],
+                                    env=ENV).returncode for argv in steps]
+        outputs[mode] = codes, [(d / n).read_bytes() for n in ("v1.json", "cert.json", "v2.json")]
+    assert outputs["same"] == outputs["separate"]
+    assert outputs["same"][0] == [0, 0, 0]

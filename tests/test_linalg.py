@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 import pytest
 
-from quatisom import random_left_ideal
+from quatisom import QuatAlgebra, random_left_ideal, standard_extremal_order
 from quatisom.linalg import (enumerate_up_to, gram_of, hnf, hnf_rows, is_odd_prime_power,
-                             lll_reduce, shortest_vector, snf_mod, solve_integer)
+                             lll_reduce, shortest_vector, snf_mod, solve_integer,
+                             vectors_of_value)
 from quatisom.orders import nrd_gram
 
 
@@ -238,3 +241,91 @@ def test_min_nonzero_norm_is_a_fraction(o0_103):
         _, val = lat.min_nonzero_norm()
         assert type(val) is Fraction
     assert val == Fraction(1, 9)
+
+
+def _inverse_diagonal(g):
+    """Diagonal of g^-1 for a positive definite rational Gram matrix g."""
+    n = len(g)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(g)]
+    for c in range(n):
+        piv = aug[c][c]
+        aug[c] = [v / piv for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return [aug[i][n + i] for i in range(n)]
+
+
+def _box_reference(basis, form, bound):
+    """Brute-force enumerate_up_to: every coefficient vector in the box
+    |x_j| <= sqrt(bound * (G^-1)_jj), which holds every vector of value <= bound,
+    in the enumeration's order (x_{n-1} outermost, each coordinate ascending)."""
+    g = gram_of(basis, form)
+    n = len(basis)
+    radius = [isqrt(int(bound * v)) + 1 for v in _inverse_diagonal(g)]
+    out = []
+    for rev in product(*(range(-r, r + 1) for r in reversed(radius))):
+        x = list(reversed(rev))
+        if not any(x) or x[max(i for i in range(n) if x[i])] < 0:
+            continue
+        val = sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n))
+        if val <= bound:
+            out.append((x, Fraction(val)))
+    return out
+
+
+@pytest.mark.parametrize("p", [103, 503])
+def test_integer_enumeration_matches_box_reference(p):
+    rng = random.Random(p + 1)
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    # an integer diagonal form, a rational one, and a rational non-diagonal one
+    forms = [nrd_gram(p), [[Fraction(v, 6) for v in row] for row in nrd_gram(p)],
+             [[Fraction(2, 3), Fraction(1, 3), 0, 0], [Fraction(1, 3), 1, 0, 0],
+              [0, 0, p, 1], [0, 0, 1, p]]]
+    for _ in range(4):
+        lat = random_left_ideal(o0, rng.choice([3, 5]), rng.randint(1, 3), rng).lattice
+        for form in forms:
+            red, _ = lll_reduce([list(r) for r in lat.mat], form)
+            _, _, least = shortest_vector(red, form)
+            for bound in (least - Fraction(1, 5), least, 2 * least + Fraction(1, 3)):
+                found = enumerate_up_to(red, form, bound)
+                assert found == _box_reference(red, form, bound)
+                assert all(type(v) is Fraction for _, v in found)
+                if bound < least:
+                    assert found == []
+                else:
+                    # a bound equal to an attained value includes that vector
+                    assert any(v == least for _, v in found)
+            assert sorted(map(tuple, vectors_of_value(red, form, least))) == sorted(
+                tuple(s * sum(c * r[t] for c, r in zip(x, red)) for t in range(4))
+                for x, v in _box_reference(red, form, least) if v == least for s in (1, -1))
+
+
+def test_enumeration_rejects_rank_deficient_basis():
+    gram = nrd_gram(103)
+    flat = [[1, 0, 0, 0], [2, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError):
+        enumerate_up_to(flat, gram, Fraction(500))
+    with pytest.raises(ValueError):
+        vectors_of_value(flat, gram, Fraction(1))
+
+
+@pytest.mark.parametrize("basis, form, reduced, transform", [
+    # an ideal of norm 3^5 in O0 at p = 503 (HNF rows over the denominator 2)
+    ([[1, 0, 294, 197], [0, 1, 289, 294], [0, 0, 486, 0], [0, 0, 0, 486]], nrd_gram(503),
+     [[19, -21, 3, -1], [-21, -19, -1, -3], [-34, 117, 3, -2], [-117, -34, 2, 3]],
+     [[19, -21, 1, 5], [-21, -19, 24, 20], [-34, 117, -49, -57], [-117, -34, 91, 68]]),
+    # a skewed basis under a rational non-diagonal form
+    ([[1, 1000, 3, 7], [0, 1, 999, 5], [4, 0, 1, 998], [1, 2, 3, 5]],
+     [[Fraction(2, 3), Fraction(1, 3), 0, 0], [Fraction(1, 3), 1, 0, 0], [0, 0, 5, 1],
+      [0, 0, 1, 2]],
+     [[1, 2, 3, 5], [-361, 261, -106, 158], [266, -459, -190, 345], [610, 244, -135, 104]],
+     [[0, 0, 0, 1], [1, 1, 2, -370], [-1, -1, -1, 271], [-1, -2, -3, 623]]),
+])
+def test_lll_reduce_output_is_pinned(basis, form, reduced, transform):
+    # the swap and size-reduction rule fixes the reduced basis, and with it
+    # the order of units() and so the certificates
+    assert lll_reduce(basis, form) == (reduced, transform)
+    assert mat_mul(transform, basis) == reduced

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +10,8 @@ from quatisom import (Ideal, Lattice4, QuatAlgebra, connecting_ideal, ideal_norm
                       multiply_ideals, principal_ideal, random_left_ideal,
                       standard_extremal_order, two_sided_prime, unit_orders)
 from quatisom.cli import main
-from quatisom.orders import Order, _det4, _lattice_mul, left_order, right_order
+from quatisom.orders import (Order, _det4, _lattice_mul, _span_coords, left_order,
+                             right_order)
 from quatisom.quat import qmul
 from quatisom.serialization import ideal_from_json, ideal_to_json
 
@@ -118,6 +119,26 @@ def test_connecting_ideal(o0_103, alg103):
         # Nrd(I) = [O1 : O1 n O2], and I = d*O1*O2 with d = Nrd(I)
         assert conn.nrd() == o0_103.lattice.intersect(o2.lattice).index_in(o0_103.lattice)
         assert conn.lattice.index_in(o0_103.lattice.mul(o2.lattice)) == conn.nrd() ** 4
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_connecting_ideal_denominator_matches_rational_coordinates(p):
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 2)
+    for _ in range(6):
+        o2 = random_left_ideal(o0, rng.choice([3, 5, 7]), rng.randint(1, 4), rng).right_order()
+        prod = o0.lattice.mul(o2.lattice)
+        # d = lcm of the denominators of the coordinates of O0*O2's basis on O0 and O2
+        d = 1
+        for target in (o0.lattice, o2.lattice):
+            for b in prod.basis():
+                coords = target.coords_of(b)
+                d = lcm(d, *(c.denominator for c in coords))
+                den, ys = _span_coords(target.mat, [v * target.den for v in b.num], b.den)
+                assert den == lcm(*(c.denominator for c in coords))
+                assert ys == [c * den for c in coords]
+        assert connecting_ideal(o0, o2).lattice == prod.scale(d)
 
 
 def test_random_left_ideal(o0_103):
