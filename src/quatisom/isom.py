@@ -22,7 +22,7 @@ from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
 from .orders import (Ideal, Order, SamplingBudgetError, _span_coords, connecting_ideal,
                      multiply_ideals, principal_ideal, standard_extremal_order, two_sided_prime)
-from .quat import Quaternion
+from .quat import Quaternion, is_prime
 
 
 class CompletionPreconditionError(RuntimeError):
@@ -236,10 +236,12 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
     Computes an equivalent l-power-norm ideal I11 = F*conj(beta)/Nrd(F) for
     the frame F of n1p, a norm-l^m element alpha, a local generator x, and
     completes the column (I11, O0*x) with the known quaternions
-    conj(beta)/Nrd(F) and x.
+    conj(beta)/Nrd(F) and x.  Only budget and precondition failures are retried.
     """
     rng = rng or random.Random(0)
     alg = n1p.alg
+    if ell == 2 or ell == alg.p or not is_prime(ell):
+        raise ValueError("l must be an odd prime different from p")
     o0 = standard_extremal_order(alg)
     base = base_node(alg)
     last: Exception | None = None
@@ -261,7 +263,7 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
             i21 = principal_ideal(o0, x)
             b11 = beta.conjugate() / n1p.frame_norm()
             return isomorphism_completion(base, n1p, base, base, i11, i21, generators=(b11, x))
-        except (SamplingBudgetError, CompletionPreconditionError, ValueError) as err:
+        except (SamplingBudgetError, CompletionPreconditionError) as err:
             last = err
     raise SamplingBudgetError(f"low_discriminant_isomorphism failed: {last}")
 

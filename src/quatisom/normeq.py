@@ -1,6 +1,6 @@
 """Norm-equation solvers: Cornacchia, RepresentInteger over the extremal
 order, and equivalent ideals of prescribed l-power norm (desk-scale KLPT
-for the special order, with an enumeration fallback).
+for the special order, each round through its own prime norm N).
 
 All randomized searches are Las Vegas: outputs are verified before being
 returned, randomness only affects the running time.
@@ -11,12 +11,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from math import gcd, isqrt
 
-from .linalg import lll_reduce, enumerate_up_to
+from .linalg import lll_reduce
 from .localization import _check, _sqrt_mod_prime
-from .orders import Ideal, Order, SamplingBudgetError, nrd_gram, standard_extremal_order
+from .orders import (Ideal, Order, SamplingBudgetError, _span_coords, nrd_gram,
+                     standard_extremal_order)
 from .quat import Quaternion, is_prime
 
 
@@ -240,7 +241,7 @@ def represent_integer(o0: Order, n: int, rng: random.Random | None = None,
     n = 81 gives an element outside 3*O0, not 9).  Otherwise a remainder m
     is solved as g*(x, y), with (x, y) the primitive solution for m/g^2 and
     g = 1, 2, ... the first g with g^2 | m that has one.  So every element of
-    norm n < p can be found.
+    norm n < p can be found, and without a solvable remainder it fails at once.
 
     Raises SamplingBudgetError when the budget runs out.
     """
@@ -257,8 +258,10 @@ def represent_integer(o0: Order, n: int, rng: random.Random | None = None,
         solve = _two_squares
     elif any(cornacchia(1, r) for r in (n, 4 * n - p, 4 * n - 2 * p) if r > 0):
         solve = partial(cornacchia, 1)
-    else:
+    elif any(_sum_of_two_squares(r) for r in (n, 4 * n - p, 4 * n - 2 * p) if r > 0):
         solve = _sum_of_two_squares
+    else:
+        raise SamplingBudgetError(f"no element of O0 has norm {n} < p")
     for trial in range(budget):
         if trial % 2 == 0:
             # integer coordinates
@@ -360,51 +363,47 @@ def _strip_l_content(lat, o0: Order, ell: int) -> tuple:
     return lat, v
 
 
-def _small_elements(ideal: Ideal, count: int):
-    """Elements of the ideal from short coefficient combinations of an
-    LLL-reduced basis, in a deterministic sweep."""
+def _small_elements(ideal: Ideal):
+    """Nonzero elements of the ideal from short coefficient combinations of
+    an LLL-reduced basis, in a deterministic sweep."""
     lat = ideal.lattice
     red, _ = lll_reduce([list(r) for r in lat.mat], nrd_gram(lat.alg.p))
     columns = list(zip(*red))
-    seen = 0
     for radius in range(1, 16):
         for co in product(range(-radius, radius + 1), repeat=4):
             if max(abs(v) for v in co) != radius:
                 continue
             vec = tuple(sum(c * v for c, v in zip(co, col)) for col in columns)
             yield Quaternion(lat.alg, vec, lat.den)
-            seen += 1
-            if seen >= count:
-                return
 
 
-def _equivalent_prime_norm(ideal: Ideal, avoid: tuple[int, ...],
-                           *, count: int = 4000) -> tuple[Ideal, Quaternion, int]:
-    """Equivalent left O0-ideal of odd prime norm N avoiding given primes.
+def _equivalent_prime_norms(ideal: Ideal, avoid: tuple[int, ...], *, count: int = 4000):
+    """Equivalent left O0-ideals of odd prime norm N avoiding given primes,
+    one for each new N, in the order of one sweep over `count` small elements.
 
-    Returns (J', delta, N) with J' = I*conj(delta)/Nrd(I).
+    Yields (J', delta, N) with J' = I*conj(delta)/Nrd(I).
     """
     n_i = ideal.nrd()
-    for delta in _small_elements(ideal, count):
-        if delta.is_zero():
-            continue
+    seen = set(avoid)  # -delta gives the same N
+    for delta in islice(_small_elements(ideal), count):
         nd = delta.reduced_norm()
         n = int(nd) // n_i
-        if n <= 2 or n in avoid or not is_prime(n):
+        if n <= 2 or n in seen or not is_prime(n):
             continue
+        seen.add(n)
         lat = ideal.lattice.rmul_q(delta.conjugate()).scale(Fraction(1, n_i))
-        return Ideal(lat, left=ideal._left, nrd=n), delta, n
-    raise SamplingBudgetError("no equivalent prime-norm ideal found among small elements")
+        yield Ideal(lat, left=ideal._left, nrd=n), delta, n
 
 
 def _mod_constraint(j_prime: Ideal, gamma: Quaternion, n: int) -> tuple[int, int] | None:
     """(C, D) != 0 mod N with gamma*j*(C + D*i) in J', i.e. a kernel vector of
-    the 4x2 system over F_N given by the J'-coordinates of gamma*j, -gamma*k."""
-    alg = j_prime.alg
-    _, _, jq, kq = alg.gens()
+    the 4x2 system over F_N given by the J'-coordinates of gamma*j, -gamma*k.
+    N*O0 lies in J', so N*gamma*j and N*gamma*k have integer coordinates."""
+    _, _, jq, kq = j_prime.alg.gens()
     lat = j_prime.lattice
-    cu = [int(c * n) % n for c in lat.coords_of(gamma * jq)]
-    cv = [int(c * n) % n for c in lat.coords_of(-(gamma * kq))]
+    gj, gk = gamma * jq, -(gamma * kq)
+    cu = [y % n for y in _span_coords(lat.mat, [n * lat.den * v for v in gj.num], gj.den)[1]]
+    cv = [y % n for y in _span_coords(lat.mat, [n * lat.den * v for v in gk.num], gk.den)[1]]
     rows = [(cu[t], cv[t]) for t in range(4) if cu[t] or cv[t]]
     if not rows:
         return (1, 0)
@@ -425,8 +424,9 @@ def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | Non
     """Equivalent left O0-ideal of norm l^e, with the witness beta in I.
 
     Returns (J, beta) with J = I*conj(beta)/Nrd(I), Nrd(beta) = Nrd(I)*l^e,
-    O_L(J) = O0 and J not divisible by l.  Strategy A is a KLPT pipeline for
-    the special order; a direct enumeration fallback covers tiny instances.
+    O_L(J) = O0 and J not divisible by l.  KLPT for the special order: each
+    of at most max_rounds rounds takes its own prime norm N, so an N that is
+    obstructed for every gamma costs one round.
     With force_rebuild an input that already has l-power norm is still
     replaced (used when a larger exponent is needed downstream).
     """
@@ -451,26 +451,22 @@ def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | Non
         return Ideal(ideal.lattice, left=o0, nrd=n_i), beta
 
     last_error: Exception | None = None
-    for _ in range(max_rounds):
+    for j_prime, delta, n in islice(_equivalent_prime_norms(ideal, (2, p, ell)), max_rounds):
         try:
-            return _klpt_special(ideal, ell, rng)
+            return _klpt_special(ideal, ell, rng, j_prime, delta, n)
         except SamplingBudgetError as err:
             last_error = err
-    try:
-        return _equivalent_by_enumeration(ideal, ell, rng)
-    except SamplingBudgetError:
-        raise SamplingBudgetError(
-            f"equivalent_power_norm_ideal failed after {max_rounds} KLPT rounds "
-            f"and enumeration fallback: {last_error}")
+    raise SamplingBudgetError(f"equivalent_power_norm_ideal failed in at most {max_rounds} "
+                              f"KLPT rounds, one per prime norm N: {last_error}")
 
 
-def _klpt_special(ideal: Ideal, ell: int, rng: random.Random) -> tuple[Ideal, Quaternion]:
+def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, j_prime: Ideal,
+                  delta: Quaternion, n: int) -> tuple[Ideal, Quaternion]:
+    """One KLPT round through J' = I*conj(delta)/Nrd(I) of prime norm N."""
     alg = ideal.alg
     p = alg.p
     o0 = ideal.left_order()
     n_i = ideal.nrd()
-
-    j_prime, delta, n = _equivalent_prime_norm(ideal, avoid=(2, p, ell))
 
     # gamma with Nrd = N * l^e0
     e0 = 1
@@ -501,7 +497,7 @@ def _klpt_special(ideal: Ideal, ell: int, rng: random.Random) -> tuple[Ideal, Qu
     while ell ** e1 <= 8 * p * n ** 3:
         e1 += 1
     if chi_ell == 1 and chi_r == -1:
-        raise SamplingBudgetError("quadratic character obstruction; resample gamma")
+        raise SamplingBudgetError("quadratic character obstruction for this N")
     if chi_ell == -1 and ((-1) ** e1 == 1) != (chi_r == 1):
         e1 += 1
 
@@ -582,42 +578,3 @@ def _strong_approximation(alg, p: int, n: int, c: int, d: int, t: int,
         _check(mu.reduced_norm() == t, "strong approximation must hit the target norm")
         return mu
     return None
-
-
-def _equivalent_by_enumeration(ideal: Ideal, ell: int, rng: random.Random,
-                               *, max_exp: int = 40) -> tuple[Ideal, Quaternion]:
-    """Fallback: enumerate beta in I with Nrd(beta)/Nrd(I) an l-power."""
-    alg = ideal.alg
-    n_i = ideal.nrd()
-    lat = ideal.lattice
-    red, _ = lll_reduce([list(r) for r in lat.mat], nrd_gram(alg.p))
-    e = 1
-    while e <= max_exp:
-        bound = Fraction(n_i * ell ** e * lat.den ** 2)
-        pts = enumerate_up_to(red, nrd_gram(alg.p), bound)
-        if len(pts) > 200000:
-            raise SamplingBudgetError("enumeration fallback exploded")
-        for coeffs, val in sorted(pts, key=lambda cv: cv[1]):
-            norm = val / lat.den ** 2
-            q, rest = divmod(int(norm), n_i)
-            if rest:
-                continue
-            ee, tq = 0, q
-            while tq % ell == 0:
-                tq //= ell
-                ee += 1
-            if tq != 1:
-                continue
-            beta = Quaternion(alg, [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*red)],
-                              lat.den)
-            out_lat = lat.rmul_q(beta.conjugate()).scale(Fraction(1, n_i))
-            o0 = ideal.left_order()
-            out_lat, v = _strip_l_content(out_lat, o0, ell)
-            if 2 * v > ee:
-                continue
-            out = Ideal(out_lat, left=o0, nrd=ell ** (ee - 2 * v))
-            if not _ideal_is_primitive(out, ell):
-                continue
-            return out, beta / ell ** v
-        e += 2
-    raise SamplingBudgetError("no l-power-norm equivalent found by enumeration")

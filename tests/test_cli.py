@@ -52,6 +52,18 @@ def test_lowdisc_and_verify_flow(tmp_path):
     assert report["verified"] is True
 
 
+def test_lowdisc_bad_ell_is_input_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "4", "--seed", "4",
+                    "--out", str(inst)]) == 0
+    for ell in ("2", "9", "103"):
+        capsys.readouterr()
+        assert run_cli(["lowdisc", "--in", str(inst), "--seed", "1", "--ell", ell,
+                        "--out", str(tmp_path / "cert.json")]) == 3
+        assert "invalid input" in capsys.readouterr().err
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_complete_flow(tmp_path):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"

@@ -180,6 +180,32 @@ def test_lowdisc_base_target(alg103):
     assert kani_degree(res.matrix) == 1
 
 
+@pytest.mark.parametrize("ell", [2, 9, 103])
+def test_lowdisc_rejects_bad_ell_before_any_attempt(alg103, monkeypatch, ell):
+    calls = []
+    monkeypatch.setattr(isom, "equivalent_power_norm_ideal",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError):
+        low_discriminant_isomorphism(base_node(alg103), ell, random.Random(88))
+    assert calls == []
+
+
+def test_lowdisc_does_not_retry_value_errors(o0_103, monkeypatch):
+    # only budget and precondition failures are retried: a ValueError inside
+    # an attempt is a fault and propagates from the first attempt
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("patched local generator failure")
+
+    monkeypatch.setattr(isom, "local_generator", fail)
+    node = node_from_ideal(random_left_ideal(o0_103, 5, 3, random.Random(89)))
+    with pytest.raises(ValueError, match="patched local generator failure"):
+        low_discriminant_isomorphism(node, 3, random.Random(90))
+    assert len(calls) == 1
+
+
 def test_lowdisc_paper_input(example_p103, o0_103):
     res = low_discriminant_isomorphism(node_from_ideal(example_p103["I11"]), 3,
                                        random.Random(87))

@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
 from quatisom import (QuatAlgebra, cornacchia, equivalent_power_norm_ideal,
                       random_left_ideal, represent_integer, standard_extremal_order)
-from quatisom.normeq import _factorize, _ideal_is_primitive, _sum_of_two_squares
+from quatisom import normeq
+from quatisom.normeq import _factorize, _ideal_is_primitive, _small_elements, _sum_of_two_squares
 from quatisom.orders import SamplingBudgetError
+from quatisom.quat import is_prime
+from quatisom.serialization import ideal_from_json
 
 
 def brute_cornacchia(d, m):
@@ -187,6 +191,21 @@ def test_represent_integer_every_reduced_norm_below_p(p):
         assert o0.lattice.contains(a), n
 
 
+@pytest.mark.parametrize("p", [103, 503])
+def test_represent_integer_fails_fast_below_p(p):
+    # below p no element of any other norm exists: fail before any draw
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    norms = set(_norms_below_p(p))
+    rng = random.Random(62)
+    state = rng.getstate()
+    missing = [n for n in range(1, p) if n not in norms]
+    assert missing
+    for n in missing:
+        with pytest.raises(SamplingBudgetError):
+            represent_integer(o0, n, rng)
+        assert rng.getstate() == state, n
+
+
 def test_represent_integer_random(o0_103):
     rng = random.Random(52)
     hits = 0
@@ -209,29 +228,100 @@ def test_equivalent_power_norm_trivial(o0_103, alg103):
     assert beta == alg103.one()
 
 
+def _assert_power_norm_witness(j, ideal, beta, ell, o0):
+    n = ideal.nrd()
+    while n % ell == 0:
+        n //= ell
+    assert n == 1
+    assert ideal.left_order() == o0
+    assert _ideal_is_primitive(ideal, ell)
+    # witness: beta in J, Nrd(beta) = Nrd(J) * l^e, I = J conj(beta)/Nrd(J)
+    assert j.lattice.contains(beta)
+    assert beta.reduced_norm() == j.nrd() * ideal.nrd()
+    assert ideal.lattice == j.lattice.rmul_q(beta.conjugate()).scale(Fraction(1, j.nrd()))
+    # chi-identity: J * conj(beta) is an integral multiple of Nrd(J)
+    chi = j.lattice.rmul_q(beta.conjugate())
+    assert o0.lattice.scale(j.nrd()).contains_lattice(chi)
+    # right orders conjugate through beta: O_R(I) = beta O_R(J) beta^-1
+    o_r = ideal.right_order().lattice
+    conj_or = j.right_order().lattice.lmul_q(beta).rmul_q(beta.inverse())
+    assert o_r == conj_or
+
+
 def test_equivalent_power_norm_invariants(o0_103):
     rng = random.Random(54)
     for seed in range(6):
         j = random_left_ideal(o0_103, 3, 4, rng)
         ideal, beta = equivalent_power_norm_ideal(j, 5, rng)
-        n = ideal.nrd()
-        while n % 5 == 0:
-            n //= 5
-        assert n == 1
-        assert ideal.left_order() == o0_103
-        assert _ideal_is_primitive(ideal, 5)
-        # witness: beta in J, Nrd(beta) = Nrd(J) * l^e, I = J conj(beta)/Nrd(J)
-        assert j.lattice.contains(beta)
-        assert beta.reduced_norm() == j.nrd() * ideal.nrd()
-        from fractions import Fraction
-        assert ideal.lattice == j.lattice.rmul_q(beta.conjugate()).scale(Fraction(1, j.nrd()))
-        # chi-identity: J * conj(beta) is an integral multiple of Nrd(J)
-        chi = j.lattice.rmul_q(beta.conjugate())
-        assert o0_103.lattice.scale(j.nrd()).contains_lattice(chi)
-        # right orders conjugate through beta: O_R(I) = beta O_R(J) beta^-1
-        o_r = ideal.right_order().lattice
-        conj_or = j.right_order().lattice.lmul_q(beta).rmul_q(beta.inverse())
-        assert o_r == conj_or
+        _assert_power_norm_witness(j, ideal, beta, 5, o0_103)
+
+
+def test_klpt_rounds_take_distinct_prime_norms(o0_103, monkeypatch):
+    j = random_left_ideal(o0_103, 3, 4, random.Random(63))
+    avoid = (2, 103, 5)
+    # the first prime N of one sweep over small elements, taken in every
+    # round before each round took its own N
+    first = next(n for delta in _small_elements(j)
+                 for n in [int(delta.reduced_norm()) // j.nrd()]
+                 if n > 2 and n not in avoid and is_prime(n))
+    seen = []
+
+    def fail(ideal, ell, rng, j_prime, delta, n):
+        assert j_prime.nrd() == n
+        assert j_prime.lattice == ideal.lattice.rmul_q(delta.conjugate()).scale(
+            Fraction(1, ideal.nrd()))
+        seen.append(n)
+        raise SamplingBudgetError("patched round failure")
+
+    monkeypatch.setattr(normeq, "_klpt_special", fail)
+    with pytest.raises(SamplingBudgetError):
+        equivalent_power_norm_ideal(j, 5, random.Random(64))
+    assert len(seen) == 8 and len(set(seen)) == 8
+    assert seen[0] == first
+    assert all(is_prime(n) and n not in avoid for n in seen)
+
+
+# The left O0-ideal that isomorphism_E0 hands to the low-discriminant route
+# (l = 7) in the large-p benchmark, seed 1, operation 2, at p = 2^32 + 15.
+# Its first two prime norms N = 175709 and 139999 meet the quadratic
+# character obstruction for every gamma; while every round took the first N,
+# all rounds failed on it.
+OBSTRUCTED_IDEAL = {
+    "p": "4294967311",
+    "denominator": "2",
+    "nrd": "468966522801494445606976549547603182188648673900388530455529689788818359375",
+    "basis": [
+        ["1", "0", "29083102500780188287277594582635353077202622144155774257268395699003923928", "408381923666347699452212919198988382570412603654489507148285791863417412695"],
+        ["0", "1", "529551121936641191761740179896217981806884744146287553762773587714219306055", "29083102500780188287277594582635353077202622144155774257268395699003923928"],
+        ["0", "0", "937933045602988891213953099095206364377297347800777060911059379577636718750", "0"],
+        ["0", "0", "0", "937933045602988891213953099095206364377297347800777060911059379577636718750"],
+    ],
+}
+
+
+def test_klpt_moves_past_an_obstructed_prime(monkeypatch):
+    j = ideal_from_json(OBSTRUCTED_IDEAL)
+    o0 = standard_extremal_order(j.alg)
+    rounds = []
+    klpt = normeq._klpt_special
+
+    def record(*args):
+        try:
+            out = klpt(*args)
+        except SamplingBudgetError as err:
+            rounds.append((args[5], str(err)))
+            raise
+        rounds.append((args[5], "ok"))
+        return out
+
+    monkeypatch.setattr(normeq, "_klpt_special", record)
+    for seed in range(5):
+        rounds.clear()
+        ideal, beta = equivalent_power_norm_ideal(j, 7, random.Random(seed))
+        assert [n for n, _ in rounds[:2]] == [175709, 139999], seed
+        assert all("quadratic character obstruction" in why for _, why in rounds[:2])
+        assert rounds[-1][1] == "ok" and len({n for n, _ in rounds}) == len(rounds)
+        _assert_power_norm_witness(j, ideal, beta, 7, o0)
 
 
 def test_equivalent_power_norm_force_rebuild(o0_103):
