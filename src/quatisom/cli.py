@@ -112,7 +112,7 @@ def cmd_lowdisc(args) -> int:
     alg = QuatAlgebra(int(data["p"]))
     (i11,) = _instance_ideals(alg, data, 1)
     rng = random.Random(args.seed if args.seed is not None else int(data.get("seed", 0)))
-    ell = args.ell or int(data.get("ell", 3))
+    ell = args.ell if args.ell is not None else int(data.get("ell", 3))
     res = low_discriminant_isomorphism(node_from_ideal(i11), ell, rng)
     return _emit_result(args, alg, res.matrix, res.certificate)
 
@@ -139,7 +139,7 @@ def cmd_isom2(args) -> int:
 def cmd_isom_g(args) -> int:
     data = _load(args.infile)
     alg = QuatAlgebra(int(data["p"]))
-    g = args.g or int(data.get("g", 2))
+    g = args.g if args.g is not None else int(data.get("g", 2))
     if g < 2:
         raise InputError("g must be at least 2")
     ideals = _instance_ideals(alg, data, 2 * g)

@@ -1,7 +1,10 @@
 """Exact integer linear algebra on small matrices.
 
-Provides row-style Hermite normal form with transform, Smith normal form
-over Z/l^m, integer linear system solving, and, for positive definite forms
+Provides row-style Hermite normal form with transform, by one exact
+pairwise-gcd elimination (a plain row subtraction when the pivot divides
+the entry, a Bezout step from `gcd` and a modular inverse otherwise, each
+on the columns from the pivot on), Smith normal form over Z/l^m, integer
+linear system solving, and, for positive definite forms
 in dimension <= 4, Cohen's integral LLL whose Gram-Schmidt data (the Gram
 determinants d and lambda) drives an integer Fincke-Pohst enumeration.
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 IntMatrix = list[list[int]]
 Form = list[list[int | Fraction]]  # a quadratic form: integer or rational entries
@@ -32,28 +35,15 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def hnf(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form: returns (H, U) with U unimodular, U*mat = H.
 
     H is upper echelon with positive pivots and entries above each pivot
     reduced into [0, pivot).  Zero rows sink to the bottom.  U is the last
     columns of the echelon form of [mat | I]: the elimination visits the
-    columns of mat first, so the first columns are H.
+    columns of mat first, so the first columns are H.  [mat | I] has full
+    row rank, so its echelon form, and with it U, is unique even when mat
+    is rank-deficient.
     """
     if not mat or not mat[0]:
         raise ValueError("hnf of empty matrix")
@@ -64,7 +54,18 @@ def hnf(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def _echelon(mat: IntMatrix) -> IntMatrix:
-    """The row echelon form behind `hnf` and `hnf_rows`, zero rows included."""
+    """The row echelon form behind `hnf` and `hnf_rows`, zero rows included.
+
+    Column by column (Cohen, GTM 138, Alg. 2.4.5): the first row with a
+    nonzero entry a becomes the pivot row, and each row below with entry b
+    is cleared by one unimodular step on the pair.  When a | b that step
+    subtracts (b/a) times the pivot row; otherwise, with g = gcd(a, b),
+    x = (a/g)^-1 mod |b/g| and y = (g - x a)/b, the pair becomes
+    (x piv + y row, (a/g) row - (b/g) piv), whose entries are (g, 0).  Both
+    rows are zero left of the pivot column, so every update, including the
+    reduction of the rows above into [0, pivot), touches only the columns
+    from the pivot column on.
+    """
     if not mat or not mat[0]:
         raise ValueError("hnf of empty matrix")
     h = [row[:] for row in mat]
@@ -73,33 +74,43 @@ def _echelon(mat: IntMatrix) -> IntMatrix:
     for col in range(ncols):
         if piv_row >= nrows:
             break
-        # clear the column below piv_row by pairwise gcd steps
-        pivot = None
-        for r in range(piv_row, nrows):
-            if h[r][col] != 0:
-                pivot = r
+        for pivot in range(piv_row, nrows):
+            if h[pivot][col]:
                 break
-        if pivot is None:
+        else:
             continue
         if pivot != piv_row:
             h[piv_row], h[pivot] = h[pivot], h[piv_row]
+        hp = h[piv_row]
+        active = range(col, ncols)
         for r in range(piv_row + 1, nrows):
-            while h[r][col] != 0:
-                a, b = h[piv_row][col], h[r][col]
-                g, x, y = _xgcd(a, b)
-                # rows (piv, r) <- (x*piv + y*r, -(b/g)*piv + (a/g)*r)
-                bp, ap = b // g, a // g
-                hp, hr = h[piv_row], h[r]
-                for c in range(ncols):
-                    hp[c], hr[c] = x * hp[c] + y * hr[c], -bp * hp[c] + ap * hr[c]
-        if h[piv_row][col] < 0:
-            h[piv_row] = [-v for v in h[piv_row]]
-        # reduce entries above the pivot into [0, pivot)
-        piv = h[piv_row][col]
+            hr = h[r]
+            b = hr[col]
+            if not b:
+                continue
+            a = hp[col]
+            q, rem = divmod(b, a)
+            if not rem:
+                for c in active:
+                    hr[c] -= q * hp[c]
+                continue
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            x = pow(ag, -1, abs(bg))
+            y = (g - x * a) // b
+            for c in active:
+                u, v = hp[c], hr[c]
+                hp[c], hr[c] = x * u + y * v, ag * v - bg * u
+        if hp[col] < 0:
+            for c in active:
+                hp[c] = -hp[c]
+        piv = hp[col]
         for r in range(piv_row):
-            q = h[r][col] // piv
+            hr = h[r]
+            q = hr[col] // piv
             if q:
-                h[r] = [hv - q * pv for hv, pv in zip(h[r], h[piv_row])]
+                for c in active:
+                    hr[c] -= q * hp[c]
         piv_row += 1
     return h
 

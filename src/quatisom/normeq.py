@@ -14,7 +14,7 @@ from functools import partial
 from itertools import islice, product
 from math import gcd, isqrt
 
-from .linalg import lll_reduce
+from .linalg import hnf_rows, lll_reduce
 from .localization import _check, _sqrt_mod_prime
 from .orders import (Ideal, Order, SamplingBudgetError, _span_coords, nrd_gram,
                      standard_extremal_order)
@@ -331,8 +331,6 @@ def _gauss_reduce_2d(b1, b2):
 
 def _planar_lattice_basis(v: tuple[int, int], n: int):
     """Basis of Z*v + n*Z^2 as two rows."""
-    from .linalg import hnf_rows
-
     rows = hnf_rows([[v[0], v[1]], [n, 0], [0, n]])
     return (rows[0][0], rows[0][1]), (rows[1][0], rows[1][1])
 

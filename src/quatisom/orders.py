@@ -98,10 +98,7 @@ class Lattice4:
         reduced = hnf_rows([list(r) for r in rows])
         if len(reduced) != 4:
             raise ValueError(f"lattice has rank {len(reduced)}, expected 4")
-        g = den
-        for row in reduced:
-            for v in row:
-                g = gcd(g, v)
+        g = gcd(den, *(v for row in reduced for v in row))
         self.mat = tuple(tuple(v // g for v in row) for row in reduced)
         self.den = den // g
 

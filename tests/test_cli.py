@@ -56,7 +56,7 @@ def test_lowdisc_bad_ell_is_input_error(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "4", "--seed", "4",
                     "--out", str(inst)]) == 0
-    for ell in ("2", "9", "103"):
+    for ell in ("0", "2", "9", "103"):
         capsys.readouterr()
         assert run_cli(["lowdisc", "--in", str(inst), "--seed", "1", "--ell", ell,
                         "--out", str(tmp_path / "cert.json")]) == 3
@@ -98,6 +98,18 @@ def test_isom_g_flow(tmp_path):
                     "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert len(data["factors"]) == 2
+
+
+def test_isom_g_bad_g_is_input_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "3", "--g", "3",
+                    "--seed", "8", "--out", str(inst)]) == 0
+    for g in ("0", "1"):
+        capsys.readouterr()
+        assert run_cli(["isom-g", "--in", str(inst), "--g", g, "--seed", "3",
+                        "--out", str(tmp_path / "chain.json")]) == 3
+        assert "invalid input" in capsys.readouterr().err
+    assert not (tmp_path / "chain.json").exists()
 
 
 def test_isom_e0_flow(tmp_path):

@@ -4,11 +4,12 @@ from itertools import product
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatisom import QuatAlgebra, random_left_ideal, standard_extremal_order
-from quatisom.linalg import (enumerate_up_to, gram_of, hnf, hnf_rows, is_odd_prime_power,
-                             lll_reduce, shortest_vector, snf_mod, solve_integer,
-                             vectors_of_value)
+from quatisom.linalg import (enumerate_up_to, gram_of, hnf, hnf_rows, identity_matrix,
+                             is_odd_prime_power, lll_reduce, shortest_vector, snf_mod,
+                             solve_integer, vectors_of_value)
 from quatisom.orders import nrd_gram
 
 
@@ -77,6 +78,117 @@ def test_hnf_idempotent():
         h, _ = hnf(m)
         h2, _ = hnf(h)
         assert h2 == h
+
+
+def _xgcd(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _reference_echelon(mat):
+    """The pairwise extended-gcd elimination on every column (Cohen, Alg. 2.4.5),
+    kept as the oracle for `linalg._echelon`."""
+    h = [row[:] for row in mat]
+    nrows, ncols = len(h), len(h[0])
+    piv_row = 0
+    for col in range(ncols):
+        if piv_row >= nrows:
+            break
+        pivot = next((r for r in range(piv_row, nrows) if h[r][col] != 0), None)
+        if pivot is None:
+            continue
+        h[piv_row], h[pivot] = h[pivot], h[piv_row]
+        for r in range(piv_row + 1, nrows):
+            while h[r][col] != 0:
+                a, b = h[piv_row][col], h[r][col]
+                g, x, y = _xgcd(a, b)
+                bp, ap = b // g, a // g
+                hp, hr = h[piv_row], h[r]
+                for c in range(ncols):
+                    hp[c], hr[c] = x * hp[c] + y * hr[c], -bp * hp[c] + ap * hr[c]
+        if h[piv_row][col] < 0:
+            h[piv_row] = [-v for v in h[piv_row]]
+        piv = h[piv_row][col]
+        for r in range(piv_row):
+            q = h[r][col] // piv
+            if q:
+                h[r] = [hv - q * pv for hv, pv in zip(h[r], h[piv_row])]
+        piv_row += 1
+    return h
+
+
+@st.composite
+def hnf_inputs(draw):
+    """2-16 rows by 2-4 columns of rank 0..ncols, some rows zero; entries of up
+    to 200 bits, or up to 2000 bits on at most 4 rows."""
+    nrows, ncols = draw(st.integers(2, 16)), draw(st.integers(2, 4))
+    bits = draw(st.integers(3, 2000 if nrows <= 4 else 200))
+    entry = st.integers(-(1 << bits), 1 << bits)
+    rank = draw(st.integers(0, ncols))
+    base = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        if rank == ncols:
+            rows.append([draw(entry) for _ in range(ncols)])
+        else:  # rank-deficient: a small combination of the base rows
+            coeffs = [draw(st.integers(-3, 3)) for _ in base]
+            rows.append([sum(k * b[c] for k, b in zip(coeffs, base)) for c in range(ncols)])
+    for r in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows // 2)):
+        rows[r] = [0] * ncols
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=hnf_inputs())
+def test_hnf_matches_reference_elimination(mat):
+    nrows, ncols = len(mat), len(mat[0])
+    ref_h = _reference_echelon(mat)
+    assert hnf_rows(mat) == [row for row in ref_h if any(row)]
+    h, u = hnf(mat)
+    assert mat_mul(u, mat) == h
+    assert _reference_echelon(u) == identity_matrix(nrows)  # U is unimodular
+    # [mat | I] has full row rank, so its echelon form, U included, is unique
+    eye = identity_matrix(nrows)
+    ref_full = _reference_echelon([row + eye[r] for r, row in enumerate(mat)])
+    assert (h, u) == ([row[:ncols] for row in ref_full], [row[ncols:] for row in ref_full])
+
+
+def test_hnf_of_ideal_product_at_61_bits():
+    """The 16 basis-row products of conj(I)*J, I and J left O0-ideals of norms
+    3^4 and 5^3 at p = 2^61 + 15 (random_left_ideal with Random(61)), as
+    Lattice4.mul hands them to hnf_rows."""
+    rows = [
+        [-8483196430897180104592, -6244222868950683262634, 262, -64],
+        [-31742234864835711149722, 21013147342964393121276, 396, -202],
+        [-33550015784059247219850, 16486777515877911864050, 50, 150],
+        [-42081634918149914897750, 41505174165846491406000, 0, 250],
+        [-8859048841399012221216, -7952852538778030492182, 246, -12],
+        [-38007210320869317658066, 20162291272564540047448, 292, -334],
+        [-39545207608014851534050, 14872687409428326087150, -150, 50],
+        [-51881467707308114257500, 42081634918149914897750, -250, 0],
+        [-16436048969675210596776, 2614825972448328958578, 162, -324],
+        [-11579943592271171102274, 59020357663833710779332, 0, -810],
+        [-18677328374630921132700, 56031985123892763398100, 0, 0],
+        [0, 93386641873154605663500, 0, 0],
+        [-2614825972448328958578, -16436048969675210596776, 324, 162],
+        [-59020357663833710779332, -11579943592271171102274, 810, 0],
+        [-56031985123892763398100, -18677328374630921132700, 0, 0],
+        [-93386641873154605663500, 0, 0, 0],
+    ]
+    expected = [[2, 4, 7888, 38414], [0, 10, 6562, 3816], [0, 0, 8100, 24300],
+                [0, 0, 0, 40500]]
+    assert hnf_rows(rows) == expected
+    assert [row for row in _reference_echelon(rows) if any(row)] == expected
 
 
 def test_solve_integer_examples():
