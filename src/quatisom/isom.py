@@ -2,6 +2,11 @@
 low-discriminant route, the general two-product pipeline, g-fold chains,
 and verification of externally supplied ideal quadruples.
 
+A g-fold chain E1 x ... x Eg -> E1' x ... x Eg' (g >= 3) passes through E0
+in its middle coordinates: two `isomorphism_E0` calls at its ends and
+2(g-2) low-discriminant calls in between, instead of g-1 two-product
+isomorphisms (2(g-1) `isomorphism_E0` calls).
+
 Every pipeline output is verified before it is returned (Las Vegas:
 randomness never affects correctness).
 """
@@ -100,9 +105,18 @@ def _canonical_generator(order: Order, b: Quaternion) -> Quaternion:
     lat = order.lattice.rmul_q(b)
     if lat == order.lattice:
         return order.alg.one()
+    return _kept_minimum(lat, [u * b for u in order.units()])
+
+
+def _kept_minimum(lat, minima: list[Quaternion]) -> Quaternion:
+    """The one of lat's minimal vectors (both signs) that `shortest_vector` keeps.
+
+    Its coefficients on the HNF basis of lat have a positive first nonzero
+    entry and are lexicographically smallest.  Each minimum lies in lat, so
+    its coefficients are integers (denominator 1).
+    """
     best = None
-    for u in order.units():
-        gen = u * b
+    for gen in minima:
         _, coeffs = _span_coords(lat.mat, [v * lat.den for v in gen.num], gen.den)
         if next(c for c in coeffs if c) > 0 and (best is None or coeffs < best[0]):
             best = (coeffs, gen)
@@ -205,11 +219,18 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     j21 = multiply_ideals(psi_bar, i21, check_compatible=False)
     j21._nrd = n_psi * d21
     jk = Ideal(j11.lattice.scale(d21).add(j21.lattice.scale(d11)), left=o2)
-    xi, val = jk.lattice.min_nonzero_norm()
-    if val != d11 * d21 * n_psi:
-        raise CompletionPreconditionError(
-            f"quotient by ker + ker is not isomorphic to the second source: "
-            f"minimal norm {val} exceeds the target {d11 * d21 * n_psi}")
+    target = d11 * d21 * n_psi
+    c = isqrt(target)
+    if c * c == target and jk.lattice == o2.lattice.scale(c):
+        # jk = c*O2 (always so on the general route, where I_psi = I11 cap I21):
+        # its minima are c*u for the units u of O2, so xi needs no search
+        xi = _kept_minimum(jk.lattice, [u * c for u in o2.units()])
+    else:
+        xi, val = jk.lattice.min_nonzero_norm()
+        if val != target:
+            raise CompletionPreconditionError(
+                f"quotient by ker + ker is not isomorphic to the second source: "
+                f"minimal norm {val} exceeds the target {target}")
 
     xi11, xi21 = _split_xi(j11, j21, d11, d21, xi)
     # I_psi is realized by the scalar s = Nrd(F1): b12 = b11*conj(s)*conj(xi11)/(d11*Nrd(s))
@@ -316,16 +337,43 @@ def swap_with_E0(n1, n2, rng: random.Random | None = None, *, ell: int = 3) -> M
 
 def isom_g_products(sources, targets, rng: random.Random | None = None) -> list[tuple[int, Mor2x2]]:
     """Factored isomorphism E1 x ... x Eg -> E1' x ... x Eg' as g-1 pairwise
-    isomorphisms; entry (i, M) acts on coordinates (i, i+1), applied in order."""
+    isomorphisms; entry (i, M) acts on coordinates (i, i+1), applied in order.
+
+    g = 2 is `isom_two_products`.  For g >= 3 the chain passes through E0 in
+    the middle coordinates: factor 0 maps E1 x E2 to E0^2 (the transpose of
+    `isomorphism_E0`) and on to E1' x E0 (low-discriminant); factor i, for
+    1 <= i <= g-3, maps E0 x E(i+2) -> E(i+1)' x E0 (`swap_with_E0`, rows
+    swapped and transposed); the last maps E0 x Eg to E0^2 (low-discriminant)
+    and on to E(g-1)' x Eg' (`isomorphism_E0`).  That is two `isomorphism_E0`
+    and 2(g-2) direct low-discriminant calls, where g-1 `isom_two_products`
+    would make 2(g-1) `isomorphism_E0` calls.  The chain is walked from the
+    sources before it is returned: each factor must start at the current
+    coordinates, have Kani degree 1, and the walk must end at the targets.
+    """
     rng = rng or random.Random(0)
     g = len(sources)
     if g < 2 or len(targets) != g:
         raise ValueError("need g >= 2 sources and as many targets")
     if g == 2:
-        return [(0, isom_two_products(sources[0], sources[1], targets[0], targets[1], rng))]
-    head = isom_g_products(sources[:-1], targets[:-1], rng)
-    tail = isom_two_products(targets[-2], sources[-1], targets[-2], targets[-1], rng)
-    return head + [(g - 2, tail)]
+        chain = [(0, isom_two_products(sources[0], sources[1], targets[0], targets[1], rng))]
+    else:
+        ell = 3
+        first = mat_compose(low_discriminant_isomorphism(targets[0], ell, rng).matrix,
+                            transpose(isomorphism_E0(sources[0], sources[1], rng)))
+        # swap_with_E0(t, s): t x E0 -> s x E0; rows swapped and transposed: E0 x s -> t x E0
+        middle = [transpose(swap_rows(swap_with_E0(targets[i], sources[i + 1], rng, ell=ell)))
+                  for i in range(1, g - 2)]
+        into_e0 = transpose(swap_rows(low_discriminant_isomorphism(sources[-1], ell, rng).matrix))
+        last = mat_compose(isomorphism_E0(targets[-2], targets[-1], rng), into_e0)
+        chain = list(enumerate([first, *middle, last]))
+    current = list(sources)
+    for i, mat in chain:
+        _check(mat.sources() == tuple(current[i:i + 2]),
+               "a factor of the chain does not start at the current coordinates")
+        _check(kani_degree(mat) == 1, "a factor of the chain is not an isomorphism")
+        current[i:i + 2] = mat.targets()
+    _check(current == list(targets), "the chain does not end at the targets")
+    return chain
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ d11, d21, m11 and m21 stayed byte-identical, only xi11, xi21, I12, I22, m12
 and m22 changed, and CLI `verify` accepts each new file.  Completion draws no
 randomness, so every random draw is the same.  A change that alters them
 changes certificates.
+
+The `isom-e0` digests were recorded before xi was taken in closed form on
+the general route (jk = c*O2), and pin that the closed form keeps the
+element the search found.  The `isom-g --g 3` digests were recorded when the
+g-fold chain started to pass through E0 in its middle coordinate; they pin
+the chain against later refactors.
 """
 
 import hashlib
@@ -23,6 +29,10 @@ GOLDEN = {
     (103, "lowdisc"): "1a1d1a14a671a0e4abb9ce53ecccaa5a1d313cd75e9860b4988f3df2d2cb3c52",
     (503, "complete"): "4b393bd04a0abc04e0d7fe9acb63fda5556a3bad03fc80b24608260fab06d9ef",
     (503, "lowdisc"): "85e16acd5d58cdfb537c66737c3595e0dfcb5acb73636fdba6cbb9755edea752",
+    (103, "isom-e0"): "635ac638bc08296b99f06fa92fb63b2af25775217c0a9384fc62af98d6035c38",
+    (103, "isom-g"): "ff3ecfff2d7ed4cbb53a8922c7accac6f460c45165cfc1708b2b66b4c41dc031",
+    (503, "isom-e0"): "c29c7242d106400fb7f8d527b5a2d22eeb3fb17d46c2c5fa2f0a5e133e0a7762",
+    (503, "isom-g"): "7d8814f50beb1a0cca1c073447210707bb1b1b87f2d32ec74d7502c3a191ee37",
 }
 
 
@@ -48,3 +58,14 @@ def test_cli_outputs_match_recorded_digests(tmp_path, p):
     assert main(["lowdisc", "--in", str(first), "--seed", "1", "--out", str(lowdisc)]) == 0
     assert _sha256(complete) == GOLDEN[(p, "complete")]
     assert _sha256(lowdisc) == GOLDEN[(p, "lowdisc")]
+
+
+@pytest.mark.parametrize("p", [103, 503])
+def test_pipeline_cli_outputs_match_recorded_digests(tmp_path, p):
+    inst = tmp_path / "instance.json"
+    assert main(["gen", "--p", str(p), "--ell", "3", "--m", "3", "--g", "3", "--seed", "23",
+                 "--out", str(inst)]) == 0
+    for cmd, extra in (("isom-e0", []), ("isom-g", ["--g", "3"])):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, "--in", str(inst), "--seed", "1", "--out", str(out)] + extra) == 0
+        assert _sha256(out) == GOLDEN[(p, cmd)], cmd

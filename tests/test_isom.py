@@ -287,15 +287,83 @@ def test_isom_g_products(o0_103):
     assert len(chain) == 2
     for idx, mat in chain:
         assert kani_degree(mat) == 1
-    # factors chain: the first acts on (0, 1), the second on (1, 2)
+    # factors chain: the first acts on (0, 1), the second on (1, 2), through
+    # the base node E0 in the middle coordinate
     assert chain[0][0] == 0 and chain[1][0] == 1
     first, second = chain[0][1], chain[1][1]
     assert first.sources() == (sources[0], sources[1])
-    assert first.targets() == (targets[0], targets[1])
-    assert second.sources() == (targets[1], sources[2])
+    assert first.targets() == (targets[0], base)
+    assert second.sources() == (base, sources[2])
     assert second.targets() == (targets[1], targets[2])
     with pytest.raises(ValueError):
         isom_g_products(sources[:1], targets[:1], rng)
+
+
+def _walk_chain(chain, sources):
+    """The coordinates after applying each factor in order, with each factor's
+    sources checked against the coordinates it acts on."""
+    current = list(sources)
+    for idx, mat in chain:
+        assert mat.sources() == tuple(current[idx:idx + 2])
+        assert kani_degree(mat) == 1
+        current[idx:idx + 2] = mat.targets()
+    return current
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_isom_g_products_middle_factors(o0_103, g):
+    rng = random.Random(100 + g)
+    base = base_node(o0_103.alg)
+    nodes = [node_from_ideal(random_left_ideal(o0_103, (3, 5)[t % 2], 3, rng))
+             for t in range(2 * g)]
+    sources, targets = nodes[:g], nodes[g:]
+    chain = isom_g_products(sources, targets, rng)
+    assert [idx for idx, _ in chain] == list(range(g - 1))
+    assert _walk_chain(chain, sources) == targets
+    # every middle factor maps E0 x E(i+2) -> E(i+1)' x E0
+    for idx, mat in chain[1:-1]:
+        assert mat.sources() == (base, sources[idx + 1])
+        assert mat.targets() == (targets[idx], base)
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_isom_g_products_call_counts(monkeypatch, o0_103, g):
+    # two isomorphism_E0 calls, and 2(g-2) low-discriminant calls outside them
+    rng = random.Random(110 + g)
+    nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(2 * g)]
+    counts = {"isomorphism_E0": 0, "direct_low_discriminant": 0}
+    depth = [0]
+    e0, low = isom.isomorphism_E0, isom.low_discriminant_isomorphism
+
+    def counted_e0(*args, **kwargs):
+        counts["isomorphism_E0"] += 1
+        depth[0] += 1
+        try:
+            return e0(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_low(*args, **kwargs):
+        if depth[0] == 0:
+            counts["direct_low_discriminant"] += 1
+        return low(*args, **kwargs)
+
+    monkeypatch.setattr(isom, "isomorphism_E0", counted_e0)
+    monkeypatch.setattr(isom, "low_discriminant_isomorphism", counted_low)
+    chain = isom_g_products(nodes[:g], nodes[g:], rng)
+    assert _walk_chain(chain, nodes[:g]) == nodes[g:]
+    assert counts == {"isomorphism_E0": 2, "direct_low_discriminant": 2 * (g - 2)}
+
+
+def test_isom_g_products_checks_its_chain(monkeypatch, o0_103):
+    # a middle factor that starts at the wrong coordinates is caught by the walk
+    rng = random.Random(120)
+    nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(8)]
+    swap = isom.swap_with_E0
+    monkeypatch.setattr(isom, "swap_with_E0",
+                        lambda n1, n2, rng, ell: swap(n2, n1, rng, ell=ell))
+    with pytest.raises(VerificationError, match="current coordinates"):
+        isom_g_products(nodes[:4], nodes[4:], rng)
 
 
 def test_isom_g_base_case(o0_103):
@@ -415,7 +483,7 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     assert kani_degree(isom_two_products(*nodes, rng)) == 1
     chain = isom_g_products(nodes[:3], nodes[1:], rng)
     assert [kani_degree(mat) for _, mat in chain] == [1, 1]
-    assert len(counts) == 1 + 2 + 4 + 8
+    assert len(counts) == 1 + 2 + 4 + 6
     assert max(counts) <= 4, counts
 
 
@@ -438,6 +506,26 @@ def test_completion_from_generators_matches_search(o0_103):
     # -1 is a unit of every order, so it normalizes away
     flipped = isomorphism_completion(*args, generators=(-gens[0], -gens[1]))
     assert flipped.certificate == searched.certificate
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_closed_form_xi_matches_search(monkeypatch, p):
+    # on the general route jk = c*O2, so xi is taken from the units of O2
+    # without a search; it must be the minimum the search keeps
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    args, gens = _pipeline_column(o0, random.Random(p))
+
+    def forbidden(self):
+        pytest.fail("the general-route completion searched for xi")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Lattice4, "min_nonzero_norm", forbidden)
+        closed = isomorphism_completion(*args, generators=gens)
+    with monkeypatch.context() as patch:
+        patch.setattr(isom, "isqrt", lambda n: 0)  # no c with c^2 = target: search
+        searched = isomorphism_completion(*args, generators=gens)
+    assert closed.certificate == searched.certificate
+    assert closed.matrix == searched.matrix
 
 
 def test_completion_rejects_wrong_generator(o0_103, alg103):
