@@ -304,16 +304,19 @@ def local_generator(ell: int, ideal: Ideal, alpha: Quaternion) -> tuple[Quaterni
 
     split = Splitting(o0, ell, m)
     m_alpha = split.to_matrix(alpha)
-    # types must agree, else no invertible local y exists
-    probe = Splitting(o0, ell, m + 1)
-    t_ideal = l_type(ideal, probe)
-    t_alpha = l_type(alpha, probe)
-    if t_ideal != t_alpha:
-        raise ValueError(f"l-type mismatch: ideal {t_ideal.as_tuple()}, alpha {t_alpha.as_tuple()}")
-    if t_ideal.as_tuple() != (0, m):
-        raise ValueError(f"ideal is divisible by {ell}: l-type {t_ideal.as_tuple()}")
-
     m_beta = _local_normal_form_of_ideal(ideal, split)
+    # types must agree, else no invertible local y exists.  Both norms are
+    # l^m, so a type is (0, m) exactly when its local matrix is nonzero mod l,
+    # i.e. I is not inside l*O0 and alpha is not in l*O0.
+    ideal_primitive = any(v % ell for row in m_beta for v in row)
+    alpha_primitive = any(v % ell for row in m_alpha for v in row)
+    if ideal_primitive != alpha_primitive:
+        raise ValueError(f"l-type mismatch: ideal {'' if ideal_primitive else 'not '}(0, {m}), "
+                         f"alpha {'' if alpha_primitive else 'not '}(0, {m})")
+    if not ideal_primitive:
+        raise ValueError(f"ideal is divisible by {ell}: l-type not (0, {m})")
+
+
     s1, d1, t1 = snf_prime_power([list(m_alpha[0]), list(m_alpha[1])], ell, m)
     s2, d2, t2 = snf_prime_power([list(m_beta[0]), list(m_beta[1])], ell, m)
     _check(d1 == d2, "equal l-types must give equal local Smith forms")

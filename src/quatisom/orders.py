@@ -116,7 +116,9 @@ class Lattice4:
         return f"Lattice4(den={self.den}, mat={[list(r) for r in self.mat]})"
 
     def det(self) -> Fraction:
-        return Fraction(_det4(self.mat), self.den ** 4)
+        """Covolume: the HNF basis is upper triangular, so its diagonal product."""
+        m = self.mat
+        return Fraction(m[0][0] * m[1][1] * m[2][2] * m[3][3], self.den ** 4)
 
     def coords_of(self, q: Quaternion) -> list[Fraction]:
         """Coordinates of q on the basis (a full-rank lattice spans the algebra)."""
