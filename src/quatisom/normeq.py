@@ -1,6 +1,7 @@
 """Norm-equation solvers: Cornacchia, RepresentInteger over the extremal
 order, and equivalent ideals of prescribed l-power norm (desk-scale KLPT
-for the special order, each round through its own prime norm N).
+for the special order, each round through its own prime norm N, its strong
+approximation one deterministic walk over the finite disk of candidates).
 
 All randomized searches are Las Vegas: outputs are verified before being
 returned, randomness only affects the running time.
@@ -460,7 +461,14 @@ def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | Non
 
 def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, j_prime: Ideal,
                   delta: Quaternion, n: int) -> tuple[Ideal, Quaternion]:
-    """One KLPT round through J' = I*conj(delta)/Nrd(I) of prime norm N."""
+    """One KLPT round through J' = I*conj(delta)/Nrd(I) of prime norm N.
+
+    gamma in O0 has norm N*l^e0, and mu = lambda*j*(C+Di) + N*nu, so that
+    gamma*mu lies in J', has norm t = l^e1 with e1 least for t > 8pN^3 (one
+    more for parity), so t < 8pN^3*l^2: one walk over the disk of at most about
+    8*pi*l^2 candidates (_strong_approximation).  The round fails when no
+    remainder there is a prime = 1 mod 4 or twice one.
+    """
     alg = ideal.alg
     p = alg.p
     o0 = ideal.left_order()
@@ -499,80 +507,68 @@ def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, j_prime: Ideal,
     if chi_ell == -1 and ((-1) ** e1 == 1) != (chi_r == 1):
         e1 += 1
 
-    for widen in range(3):
-        t = ell ** (e1 + 2 * widen)
-        mu = _strong_approximation(alg, p, n, c, d, t, rng)
-        if mu is None:
-            continue
-        prod = gamma * mu
-        if not j_prime.lattice.contains(prod):
-            continue
-        lat = j_prime.lattice.rmul_q(prod.conjugate()).scale(Fraction(1, n))
-        if not o0.lattice.contains_lattice(lat):
-            continue
-        # strip the l-content: l^v * I' is equivalent to I' and the witness scales
-        lat, v = _strip_l_content(lat, o0, ell)
-        e_out = e0 + e1 + 2 * widen - 2 * v
-        out = Ideal(lat, left=o0, nrd=ell ** e_out)
-        if not _ideal_is_primitive(out, ell):
-            continue
-        beta = (gamma * mu * delta) / (n * ell ** v)
-        _check(ideal.lattice.contains(beta), "witness must lie in the input ideal")
-        _check(beta.reduced_norm() == n_i * out.nrd(), "witness norm must be Nrd(I)*Nrd(I')")
-        check = ideal.lattice.rmul_q(beta.conjugate()).scale(Fraction(1, n_i))
-        _check(check == out.lattice, "witness must map I onto the output ideal")
-        return out, beta
-    raise SamplingBudgetError("strong approximation failed at all widths")
+    mu = _strong_approximation(alg, p, n, c, d, ell ** e1)
+    if mu is None:
+        raise SamplingBudgetError("strong approximation: no remainder in the disk is solvable")
+    prod = gamma * mu
+    lat = j_prime.lattice.rmul_q(prod.conjugate()).scale(Fraction(1, n))
+    _check(o0.lattice.contains_lattice(lat), "gamma*mu must lie in J', so I' is integral")
+    # strip the l-content: l^v * I' is equivalent to I' and the witness scales
+    lat, v = _strip_l_content(lat, o0, ell)
+    out = Ideal(lat, left=o0, nrd=ell ** (e0 + e1 - 2 * v))
+    beta = (prod * delta) / (n * ell ** v)
+    _check(ideal.lattice.contains(beta), "witness must lie in the input ideal")
+    _check(beta.reduced_norm() == n_i * out.nrd(), "witness norm must be Nrd(I)*Nrd(I')")
+    check = ideal.lattice.rmul_q(beta.conjugate()).scale(Fraction(1, n_i))
+    _check(check == out.lattice, "witness must map I onto the output ideal")
+    return out, beta
 
 
-def _strong_approximation(alg, p: int, n: int, c: int, d: int, t: int,
-                          rng: random.Random, *, tries: int = 600) -> Quaternion | None:
-    """mu = lambda*j*(C+Di) + N*nu with Nrd(mu) = t, or None."""
+def _strong_approximation(alg, p: int, n: int, c: int, d: int, t: int) -> Quaternion | None:
+    """mu = lambda*j*(C+Di) + N*nu with Nrd(mu) = t, or None.
+
+    mu = N*x + N*y*i + X*j + Y*k, where (X, Y) = lambda*(C, -D) mod N and
+    t - p(X^2+Y^2) = 0 mod N^2: with lambda lifted to lambda^2*p(C^2+D^2) = t
+    mod N^2, the coset lambda*(C, -D) + N*(Z*(D, C) + N*Z^2).  The walk visits
+    each (X, Y) of the coset with p(X^2+Y^2) <= t once and stops at the first
+    remainder (t - p(X^2+Y^2))/N^2 that _two_squares solves as x^2+y^2.  The
+    disk has area pi*t/p and the coset index N^3, so it holds about
+    pi*t/(p*N^3) points.
+    """
     big_r = p * (c * c + d * d)
-    lam2 = t * pow(big_r, -1, n) % n
-    lam = _sqrt_mod_prime(lam2, n)
-    if lam is None or lam == 0:
+    target = t * pow(big_r, -1, n * n) % (n * n)
+    lam = _sqrt_mod_prime(target, n)
+    if lam is None:
         return None
-    r1 = (t - lam * lam * big_r) // n % n
-
-    # solve 2*lam*p*(C*z - D*w) = r1 mod N
-    a_co = 2 * lam * p * c % n
-    b_co = (-2 * lam * p * d) % n
-    if a_co:
-        inv = pow(a_co, -1, n)
-        z0, w0 = r1 * inv % n, 0
-        hom = ((-b_co * inv) % n, 1)
-    elif b_co:
-        inv = pow(b_co, -1, n)
-        z0, w0 = 0, r1 * inv % n
-        hom = (1, 0)  # z is free
-    else:
-        return None
-    b1, b2 = _gauss_reduce_2d(*_planar_lattice_basis(hom, n))
-    # Babai rounding of (z0, w0) against the reduced basis
-    det = b1[0] * b2[1] - b1[1] * b2[0]
-    if det == 0:
-        return None
-    s = Fraction(z0 * b2[1] - w0 * b2[0], det)
-    u = Fraction(-z0 * b1[1] + w0 * b1[0], det)
-    zs = z0 - round(s) * b1[0] - round(u) * b2[0]
-    ws = w0 - round(s) * b1[1] - round(u) * b2[1]
-
-    for _ in range(tries):
-        da = rng.randint(-2, 2)
-        db = rng.randint(-2, 2)
-        z = zs + da * b1[0] + db * b2[0]
-        w = ws + da * b1[1] + db * b2[1]
-        num = t - big_r * lam * lam - 2 * lam * p * n * (c * z - d * w) - n * n * p * (z * z + w * w)
-        if num < 0:
-            continue
+    lam = _hensel_sqrt(target, n, 2, lam)
+    b1, b2 = _gauss_reduce_2d(*_planar_lattice_basis((d % n, c % n), n))
+    for x_co, y_co in _disk_points((lam * c, -lam * d), (n * b1[0], n * b1[1]),
+                                   (n * b2[0], n * b2[1]), t // p):
+        num = t - p * (x_co * x_co + y_co * y_co)
         _check(num % (n * n) == 0, "strong approximation remainder must be divisible by N^2")
-        r2 = num // (n * n)
-        sol = _two_squares(r2)
-        if sol is None:
-            continue
-        x, y = sol
-        mu = alg.quaternion(n * x, n * y, lam * c + n * z, -lam * d + n * w)
-        _check(mu.reduced_norm() == t, "strong approximation must hit the target norm")
-        return mu
+        sol = _two_squares(num // (n * n))
+        if sol is not None:
+            mu = alg.quaternion(n * sol[0], n * sol[1], x_co, y_co)
+            _check(mu.reduced_norm() == t, "strong approximation must hit the target norm")
+            return mu
     return None
+
+
+def _disk_points(q0, u, v, bound: int):
+    """Every q0 + a*u + b*v with |.|^2 <= bound, once, for a planar basis u, v:
+    b ascending, then a.  On the row q = w + a*u, |q|^2 <= bound exactly when
+    (u.q)^2 <= |u|^2*bound - (u x w)^2, so rows and ranges are integer tests;
+    with u the shorter vector of a reduced basis, few rows are empty."""
+    uu = u[0] * u[0] + u[1] * u[1]
+    det = u[0] * v[1] - u[1] * v[0]
+    if det < 0:
+        v, det = (-v[0], -v[1]), -det
+    c0 = u[0] * q0[1] - u[1] * q0[0]
+    s = isqrt(uu * bound)
+    for b in range(-((s + c0) // det), (s - c0) // det + 1):
+        w = (q0[0] + b * v[0], q0[1] + b * v[1])
+        cross = c0 + b * det
+        r = isqrt(uu * bound - cross * cross)
+        uw = u[0] * w[0] + u[1] * w[1]
+        for a in range(-((r + uw) // uu), (r - uw) // uu + 1):
+            yield (w[0] + a * u[0], w[1] + a * u[1])

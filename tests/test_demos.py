@@ -8,7 +8,9 @@ Demo 05 got a digest once it stopped printing its temporary directory.
 Demo 04 was re-recorded again when each KLPT round started to take its own
 prime norm N: a round of its isom_two_products call at p = 1019 fails, the
 next round now runs with a new N, and only its printed line
-"entry degrees: [...]" changed."""
+"entry degrees: [...]" changed.  It was re-recorded once more, for the same
+line only, when KLPT's strong approximation stopped sampling and started to
+walk its disk of candidates once."""
 
 import hashlib
 import os
@@ -26,7 +28,7 @@ STDOUT_SHA256 = {
     "01_quaternions_and_orders.py": "a1b41824f802bce20ed94d00c532a412c07fd874ac40afbdb05198f0472c2d4c",
     "02_completing_an_isomorphism.py": "b6e38dbfd183f73372035eefe5e012cddb38ff52832d89417c7451dfc93cee41",
     "03_low_discriminant_route.py": "f00f2b7aed111d55f025b387ab236712a1439aa5d94ac610d7d5f9925bd88b96",
-    "04_products_of_curves.py": "acb6557249e67856a3379745f0382cb59ef8c5947498c7c871e3e539bcc0c390",
+    "04_products_of_curves.py": "525b8b365e427ccca6500e867c053defb7a1868fa262d9fa83792d5d5c09c36b",
     "05_cli_workflow.py": "75c3a2a7e2faaa0dde05d9963fef9edcdea244fca3fb1e5b7d8ade6449df318a",
 }
 

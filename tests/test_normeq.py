@@ -324,6 +324,65 @@ def test_klpt_moves_past_an_obstructed_prime(monkeypatch):
         _assert_power_norm_witness(j, ideal, beta, 7, o0)
 
 
+def _disk_remainders(p, n, c, d, t):
+    """Brute force: (t - p(X^2+Y^2))/N^2 for every integer (z, w) with
+    X = N*z + lambda*C, Y = N*w - lambda*D, a non-negative remainder and
+    N^2 dividing it, for the least lambda in [1, N) with lambda^2*p(C^2+D^2)
+    = t mod N (the other root gives the points negated)."""
+    lam = next((x for x in range(1, n) if (x * x * p * (c * c + d * d) - t) % n == 0), None)
+    if lam is None:
+        return []
+    reach = isqrt(t // p) // n + 2
+    out = []
+    for z in range(-reach - abs(c), reach + abs(c) + 1):
+        for w in range(-reach - abs(d), reach + abs(d) + 1):
+            num = t - p * ((n * z + lam * c) ** 2 + (n * w - lam * d) ** 2)
+            if num >= 0 and num % (n * n) == 0:
+                out.append(num // (n * n))
+    return sorted(out)
+
+
+def test_strong_approximation_walks_the_whole_disk(monkeypatch):
+    rng = random.Random(71)
+    outcomes = []
+    for p in (103, 503, 1019, 2 ** 32 + 15):
+        alg = QuatAlgebra(p)
+        for k in range(12):
+            ell = (3, 5, 7)[k % 3]
+            n = rng.choice([q for q in range(3, 24) if is_prime(q) and q != ell])
+            while True:
+                c = 0 if k % 4 == 0 else rng.randrange(-2 * n, 2 * n)
+                d = rng.randrange(-2 * n, 2 * n)
+                if p * (c * c + d * d) % n:
+                    break
+            e = 1
+            while ell ** e <= 8 * p * n ** 3:
+                e += 1
+            if pow(ell ** e * pow(p * (c * c + d * d), -1, n), (n - 1) // 2, n) != 1:
+                e += 1  # the parity KLPT takes; no parity helps when only R is a non-residue
+            t = ell ** (e - 2 * rng.randrange(3))  # KLPT's disk, and two smaller ones
+            expected = _disk_remainders(p, n, c, d, t)
+
+            seen = []
+            monkeypatch.setattr(normeq, "_two_squares", lambda r: seen.append(r))
+            assert normeq._strong_approximation(alg, p, n, c, d, t) is None
+            assert sorted(seen) == expected, (p, n, c, d, t)
+            monkeypatch.undo()
+
+            mu = normeq._strong_approximation(alg, p, n, c, d, t)
+            solvable = [r for r in expected if normeq._two_squares(r) is not None]
+            if mu is None:
+                assert not solvable, (p, n, c, d, t)
+                outcomes.append("miss" if expected else "empty")
+                continue
+            assert mu.reduced_norm() == t and mu.den == 1
+            x, y, zc, wc = mu.num
+            assert x % n == 0 and y % n == 0
+            assert any((zc - s * c) % n == 0 and (wc + s * d) % n == 0 for s in range(1, n))
+            outcomes.append("found")
+    assert {"found", "miss", "empty"} <= set(outcomes)
+
+
 def test_equivalent_power_norm_force_rebuild(o0_103):
     rng = random.Random(55)
     j = random_left_ideal(o0_103, 3, 4, rng)  # norm 81 < p = 103
