@@ -316,7 +316,6 @@ def local_generator(ell: int, ideal: Ideal, alpha: Quaternion) -> tuple[Quaterni
     if not ideal_primitive:
         raise ValueError(f"ideal is divisible by {ell}: l-type not (0, {m})")
 
-
     s1, d1, t1 = snf_prime_power([list(m_alpha[0]), list(m_alpha[1])], ell, m)
     s2, d2, t2 = snf_prime_power([list(m_beta[0]), list(m_beta[1])], ell, m)
     _check(d1 == d2, "equal l-types must give equal local Smith forms")

@@ -116,7 +116,7 @@ class Lattice4:
         return f"Lattice4(den={self.den}, mat={[list(r) for r in self.mat]})"
 
     def det(self) -> Fraction:
-        """Covolume: the HNF basis is upper triangular, so its diagonal product."""
+        """Determinant of the basis: the HNF is upper triangular, so its diagonal product."""
         m = self.mat
         return Fraction(m[0][0] * m[1][1] * m[2][2] * m[3][3], self.den ** 4)
 
