@@ -66,7 +66,9 @@ def _principal_generator(lat, order: Order) -> Quaternion | None:
     gen, val = lat.min_nonzero_norm()
     if val != Fraction(num, den):
         return None
-    if order.lattice.rmul_q(gen) != lat:
+    # order*gen has index Nrd(gen)^2 = [order : lat] in order, so containing
+    # it makes it equal to lat
+    if not lat.contains_rmul(order.lattice, gen):
         return None
     return gen
 
@@ -390,9 +392,21 @@ class QuadrupleReport:
 
 def conjugating_elements(o_from: Order, o_to: Order) -> list[Quaternion]:
     """All g (one per class, up to units and scalars) with
-    g * o_from * g^-1 = o_to; empty when the orders are not conjugate."""
+    g * o_from * g^-1 = o_to; empty when the orders are not conjugate.
+
+    Orders whose trace-zero minima (`Order.trace_zero_minimum`) differ get
+    [] with no search: conjugation keeps trace and reduced norm, so
+    conjugate orders have equal minima.  The test changes no answer, as the
+    search succeeds only on conjugate orders: a g it returns makes o_to*g a
+    connecting ideal of right order o_from, so g^-1 * o_to * g = o_from.
+    Conversely, for conjugate orders one of the two ideals searched, I =
+    d*o_to*o_from or its twist I*P by the two-sided prime P of o_from, is
+    principal.
+    """
     if o_from == o_to:
         return [o_from.alg.one()]
+    if o_from.trace_zero_minimum() != o_to.trace_zero_minimum():
+        return []
     out = []
     conn = connecting_ideal(o_to, o_from)
     g = _principal_generator(conn.lattice, o_to)
@@ -406,6 +420,12 @@ def conjugating_elements(o_from: Order, o_to: Order) -> list[Quaternion]:
 
 
 def is_isomorphic_order(o1: Order, o2: Order) -> bool:
+    """Whether the maximal orders o1 and o2 are conjugate (isomorphic).
+
+    False at once when their trace-zero minima differ, a conjugation
+    invariant; otherwise decided by the generator search of
+    `conjugating_elements`.
+    """
     return bool(conjugating_elements(o1, o2))
 
 

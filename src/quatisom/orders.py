@@ -13,7 +13,7 @@ from itertools import product
 from fractions import Fraction
 from math import gcd, lcm, isqrt
 
-from .linalg import hnf_rows, kernel_basis, vectors_of_value
+from .linalg import hnf_rows, kernel_basis, shortest_vector, vectors_of_value
 from .quat import QuatAlgebra, Quaternion, qmul
 
 
@@ -204,8 +204,6 @@ class Lattice4:
 
     def min_nonzero_norm(self) -> tuple[Quaternion, Fraction]:
         """Shortest nonzero vector under the reduced norm, deterministic."""
-        from .linalg import shortest_vector
-
         _, vec, val = shortest_vector([list(r) for r in self.mat], nrd_gram(self.alg.p))
         return Quaternion(self.alg, tuple(vec), self.den), val / self.den ** 2
 
@@ -270,13 +268,18 @@ def unit_orders(lat: Lattice4) -> tuple["Order", "Order"]:
 
 
 class Order:
-    """An order in B_{p,oo}; validity is checked at construction."""
+    """An order in B_{p,oo}; validity is checked at construction.
 
-    __slots__ = ("lattice", "_units")
+    Its units and its trace-zero minimum are computed on first use and kept
+    on the object.
+    """
+
+    __slots__ = ("lattice", "_units", "_trace_zero_min")
 
     def __init__(self, lattice: Lattice4):
         self.lattice = lattice
         self._units = None
+        self._trace_zero_min = None
         # basis element x = row/den: trace 2*row[0]/den, norm nrd(row)/den^2,
         # and x*y lies in the lattice iff row_x*row_y is in den*span(rows)
         p, mat, den = lattice.alg.p, lattice.mat, lattice.den
@@ -318,6 +321,23 @@ class Order:
         if self._units is None:
             self._units = self.lattice.norm_value_vectors(Fraction(1))
         return self._units
+
+    def trace_zero_minimum(self) -> Fraction:
+        """Least reduced norm of a nonzero x - trd(x)/2 with x in the order.
+
+        These projections onto (i, j, k) form the Gross lattice up to the
+        scale 2.  Conjugation x -> g*x*g^-1 commutes with the projection and
+        keeps the reduced norm, so conjugate orders have the same minimum.
+        The projected HNF rows have rank 3 (the kernel meets the order in
+        Z*1), and their minimum is one 3-dimensional shortest vector under
+        diag(1, p, p).
+        """
+        if self._trace_zero_min is None:
+            p, lat = self.alg.p, self.lattice
+            rows = hnf_rows([list(r[1:]) for r in lat.mat])
+            _, _, val = shortest_vector(rows, [[1, 0, 0], [0, p, 0], [0, 0, p]])
+            self._trace_zero_min = val / lat.den ** 2
+        return self._trace_zero_min
 
     def one_ideal(self) -> "Ideal":
         return Ideal(self.lattice, left=self, right=self, nrd=1)

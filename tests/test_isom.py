@@ -5,7 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -21,8 +21,10 @@ from quatisom import (CompletionPreconditionError, QuatAlgebra, SamplingBudgetEr
 from quatisom import isom, orders
 from quatisom.homframe import transpose, mat_compose
 from quatisom.isom import (_bezout_split, _canonical_generator, _principal_generator,
-                           is_isomorphic_order)
-from quatisom.orders import Lattice4, Order
+                           conjugating_elements, is_isomorphic_order)
+from quatisom.linalg import enumerate_up_to
+from quatisom.orders import (Lattice4, Order, connecting_ideal, multiply_ideals, nrd_gram,
+                             two_sided_prime)
 
 
 def test_principal_generator(o0_103, alg103):
@@ -51,6 +53,15 @@ def test_principal_generator_rejects_non_square_index(o0_103, alg103):
     assert _principal_generator(lat, o0_103) is None
     # and a rational index that is not a square: 2/81
     assert _principal_generator(lat.scale(Fraction(1, 3)), o0_103) is None
+
+
+def test_principal_generator_rejects_right_principal_lattice(o0_103, alg103):
+    # a*O0 has index Nrd(a)^2 and minimum Nrd(a) but is not a left O0-ideal
+    a = alg103.quaternion(1, 2, 1, 0)
+    lat = o0_103.lattice.lmul_q(a)
+    assert lat != o0_103.lattice.rmul_q(a)
+    assert lat.min_nonzero_norm()[1] == a.reduced_norm()
+    assert _principal_generator(lat, o0_103) is None
 
 
 def test_sum_kernel_ideal(o0_103):
@@ -597,3 +608,144 @@ def test_library_has_no_assert():
 def test_verification_error_is_not_retried():
     for caught in (ValueError, SamplingBudgetError, CompletionPreconditionError):
         assert not issubclass(VerificationError, caught)
+
+
+# ---------------------------------------------------------------------------
+# Conjugacy of orders: the trace-zero minimum
+
+
+def _conjugate_order(order, g):
+    return Order(order.lattice.lmul_q(g).rmul_q(g.inverse()))
+
+
+def _principal_generator_reference(lat, order):
+    """`_principal_generator` with its check by lattice equality."""
+    idx = lat.index_in(order.lattice)
+    num, den = isqrt(idx.numerator), isqrt(idx.denominator)
+    if num * num != idx.numerator or den * den != idx.denominator:
+        return None
+    gen, val = lat.min_nonzero_norm()
+    if val != Fraction(num, den) or order.lattice.rmul_q(gen) != lat:
+        return None
+    return gen
+
+
+def _conjugating_elements_reference(o_from, o_to):
+    """`conjugating_elements` without the trace-zero test: it always searches."""
+    if o_from == o_to:
+        return [o_from.alg.one()]
+    out = []
+    conn = connecting_ideal(o_to, o_from)
+    g = _principal_generator_reference(conn.lattice, o_to)
+    if g is not None:
+        out.append(g)
+    twisted = multiply_ideals(conn, two_sided_prime(o_from), check_compatible=False)
+    g = _principal_generator_reference(twisted.lattice, o_to)
+    if g is not None:
+        out.append(g)
+    return out
+
+
+def _forbid_search(monkeypatch):
+    def forbidden(*args):
+        pytest.fail("conjugating_elements searched for a connecting ideal's generator")
+
+    monkeypatch.setattr(isom, "connecting_ideal", forbidden)
+
+
+@pytest.mark.parametrize("p", [103, 503])
+def test_trace_zero_minimum_by_enumeration(p):
+    # x - n lies in O for every integer n, so a trace-zero projection of norm
+    # m comes from some x in O with nrd(x) <= m + 1/4: enumerating O up to
+    # that bound finds the minimum and nothing below it
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 1)
+    for order in [o0] + [random_left_ideal(o0, 3, 3, rng).right_order() for _ in range(4)]:
+        least = order.trace_zero_minimum()
+        lat = order.lattice
+        found = enumerate_up_to([list(r) for r in lat.mat], nrd_gram(p),
+                                (least + Fraction(1, 4)) * lat.den ** 2)
+        projected = []
+        for coeffs, _ in found:
+            x = [Fraction(sum(c * r[t] for c, r in zip(coeffs, lat.mat)), lat.den)
+                 for t in range(4)]
+            pure = alg.quaternion(0, *x[1:])  # x - trd(x)/2
+            if not pure.is_zero():
+                projected.append(pure.reduced_norm())
+        assert min(projected) == least
+    assert o0.trace_zero_minimum() == 1  # i
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019, 2 ** 32 + 15])
+def test_trace_zero_minimum_is_a_conjugation_invariant(p):
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p)
+    for order in [o0] + [random_left_ideal(o0, 3, 4, rng).right_order() for _ in range(3)]:
+        for _ in range(3):
+            g = _random_quaternion(alg, rng)
+            conj = _conjugate_order(order, g)
+            assert conj.trace_zero_minimum() == order.trace_zero_minimum()
+            assert is_isomorphic_order(order, conj)
+            assert is_isomorphic_order(conj, order)
+
+
+def _certificate_orders(o0, rng):
+    """(O_L(X), O_R(Y)) for the second-column ideals X and first-column ideals
+    Y of a completion certificate: the pairs verification realigns, with
+    those of its swapped-column controls."""
+    i11 = random_left_ideal(o0, 3, 4, rng)
+    i21 = random_left_ideal(o0, 5, 2, rng)
+    n2 = node_from_ideal(sum_kernel_ideal(i11, i21))
+    cert = isomorphism_completion(base_node(o0.alg), node_from_ideal(i11), n2,
+                                  node_from_ideal(i21), i11, i21).certificate
+    targets = [cert.i11.right_order(), cert.i21.right_order()]
+    sources = [x.left_order() for y in (cert.i12, cert.i22) for x in (y, y.conjugate())]
+    return [(s, t) for s in sources for t in targets]
+
+
+def test_conjugating_elements_matches_reference():
+    pairs = []
+    for p in (103, 503, 1019):
+        o0 = standard_extremal_order(QuatAlgebra(p))
+        rng = random.Random(p + 2)
+        for _ in range(4):
+            cert_pairs = _certificate_orders(o0, rng)
+            pairs += cert_pairs + [(b, a) for a, b in cert_pairs]
+        pool = [o0] + [random_left_ideal(o0, rng.choice((3, 5)), rng.randint(1, 3), rng)
+                       .right_order() for _ in range(6)]
+        pool.append(_conjugate_order(pool[-1], _random_quaternion(o0.alg, rng)))
+        pairs += [(a, b) for a in pool for b in pool]
+    assert len(pairs) == 384
+    verdicts = set()
+    for o_from, o_to in pairs:
+        got = conjugating_elements(o_from, o_to)
+        assert got == _conjugating_elements_reference(o_from, o_to)
+        verdicts.add((bool(got), o_from.trace_zero_minimum() == o_to.trace_zero_minimum()))
+    # both verdicts occur, and a conjugate pair never has different minima
+    assert {(True, True), (False, False)} <= verdicts
+    assert (True, False) not in verdicts
+
+
+def test_different_minima_need_no_search(monkeypatch, o0_103):
+    order = random_left_ideal(o0_103, 3, 4, random.Random(98)).right_order()
+    assert order.trace_zero_minimum() != o0_103.trace_zero_minimum()
+    _forbid_search(monkeypatch)
+    assert conjugating_elements(order, o0_103) == []
+    assert conjugating_elements(o0_103, order) == []
+    assert not is_isomorphic_order(order, o0_103)
+
+
+@pytest.mark.parametrize("p", [2 ** 61 + 15, 2 ** 128 + 51])
+def test_conjugacy_at_large_p(monkeypatch, p):
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p)
+    o1, o2 = (random_left_ideal(o0, ell, 3, rng).right_order() for ell in (3, 5))
+    for order in (o0, o1):
+        g = _random_quaternion(alg, rng)
+        assert is_isomorphic_order(order, _conjugate_order(order, g))
+    _forbid_search(monkeypatch)
+    assert not is_isomorphic_order(o1, o2)
+    assert not is_isomorphic_order(o0, o2)
