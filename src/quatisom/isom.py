@@ -31,8 +31,8 @@ from .quat import Quaternion, is_prime
 
 
 class CompletionPreconditionError(RuntimeError):
-    """The shortest-vector test failed: the target is not isomorphic to the
-    quotient by the direct sum of the kernels."""
+    """The principal-generator search failed: the target is not isomorphic
+    to the quotient by the direct sum of the kernels."""
 
 
 @dataclass
@@ -98,31 +98,26 @@ def _solve_morphism_elem(src, dst, ideal: Ideal) -> Quaternion | None:
 def _canonical_generator(order: Order, b: Quaternion) -> Quaternion:
     """The generator of order*b that `_principal_generator` returns, from b.
 
-    1 when b is a unit.  Otherwise the minimal-norm elements of order*b are
-    u*b for the units u, and `shortest_vector` keeps the one whose
-    coefficients on the HNF basis have a positive first nonzero entry and
-    are lexicographically smallest.  Each u*b lies in order*b, so its
-    coefficients are integers (denominator 1).
+    The minimal-norm elements of order*b are u*b for the units u, and
+    `shortest_vector` keeps the one whose coefficients on the HNF basis have
+    a positive first nonzero entry and are lexicographically smallest.  Each
+    u*b lies in order*b, so its coefficients are integers (denominator 1).
     """
     lat = order.lattice.rmul_q(b)
-    if lat == order.lattice:
-        return order.alg.one()
-    return _kept_minimum(lat, [u * b for u in order.units()])
-
-
-def _kept_minimum(lat, minima: list[Quaternion]) -> Quaternion:
-    """The one of lat's minimal vectors (both signs) that `shortest_vector` keeps.
-
-    Its coefficients on the HNF basis of lat have a positive first nonzero
-    entry and are lexicographically smallest.  Each minimum lies in lat, so
-    its coefficients are integers (denominator 1).
-    """
     best = None
-    for gen in minima:
+    for gen in (u * b for u in order.units()):
         _, coeffs = _span_coords(lat.mat, [v * lat.den for v in gen.num], gen.den)
         if next(c for c in coeffs if c) > 0 and (best is None or coeffs < best[0]):
             best = (coeffs, gen)
     return best[1]
+
+
+def _known_generator(lat, order: Order, target, g: Quaternion) -> Quaternion:
+    """`_canonical_generator(order, g)` for order = O_R(lat), once
+    lat*g = target is checked; VerificationError when it does not hold."""
+    if g.is_zero() or lat.rmul_q(g) != target:
+        raise VerificationError("a given generator does not solve its ideal equation")
+    return _canonical_generator(order, g)
 
 
 def _known_morphism_elem(src, dst, ideal: Ideal, b: Quaternion) -> Quaternion:
@@ -130,10 +125,9 @@ def _known_morphism_elem(src, dst, ideal: Ideal, b: Quaternion) -> Quaternion:
 
     Raises VerificationError unless frame(dst)*b = frame(src)*ideal.
     """
-    if b.is_zero() or dst.frame.lattice.rmul_q(b) != _frame_times(src, ideal.lattice):
-        raise VerificationError("the given generator does not solve "
-                                "frame(dst)*b = frame(src)*I")
-    return _canonical_generator(dst.order, b)
+    target = _frame_times(src, ideal.lattice)
+    b = _known_generator(dst.frame.lattice, dst.order, target, b)
+    return src.alg.one() if dst.frame.lattice == target else b
 
 
 def _bezout_split(d11: int, d21: int) -> tuple[int, int]:
@@ -167,7 +161,7 @@ def _split_xi(j11: Ideal, j21: Ideal, d11: int, d21: int, xi: Quaternion):
 
 
 def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
-                           generators: tuple[Quaternion, Quaternion] | None = None
+                           generators: tuple[Quaternion, Quaternion, Quaternion] | None = None
                            ) -> CompletionResult:
     """Complete the first column (I11, I21) to an isomorphism matrix
     E1 x E2 -> E1' x E2' with certificate.
@@ -175,17 +169,15 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     The connecting ideal is the frame ideal I_psi = conj(F1)*F2 from O1 to
     O2, realized by s = Nrd(F1).  With J11 = conj(I_psi)*I11 and
     J21 = conj(I_psi)*I21, the target is isomorphic to the quotient by
-    ker + ker exactly when d21*J11 + d11*J21 holds a vector xi of norm
-    d11*d21*Nrd(I_psi); otherwise CompletionPreconditionError is raised.
-    xi splits in closed form (`_split_xi`), and the second column follows
-    by principal division.
+    ker + ker exactly when jk = d21*J11 + d11*J21 = O2*xi is principal.  xi
+    splits in closed form (`_split_xi`); principal division gives the rest.
 
-    The first column's quaternions b11, b21 solve frame(n1p)*b11 =
-    frame(n1)*I11 and frame(n2p)*b21 = frame(n1)*I21.  Pipelines that hold
-    such solutions pass them as `generators`; each is checked and
-    normalized to the element the principal-generator search would find, so
-    the output does not depend on which was given.  Without them the
-    search runs.
+    The unknowns b11, b21, xi generate principal ideals: frame(n1p)*b11 =
+    frame(n1)*I11, frame(n2p)*b21 = frame(n1)*I21 and O2*xi = jk.  Pipelines
+    pass the three they hold as `generators`; each is checked by one lattice
+    comparison (VerificationError) and normalized to the element the search
+    would find, so the output does not depend on which was given.  Without
+    them the search runs; a miss raises CompletionPreconditionError.
     """
     o1, o2 = n1.order, n2.order
     if i11.left_order() != o1 or i21.left_order() != o1:
@@ -220,19 +212,15 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     j11._nrd = n_psi * d11
     j21 = multiply_ideals(psi_bar, i21, check_compatible=False)
     j21._nrd = n_psi * d21
-    jk = Ideal(j11.lattice.scale(d21).add(j21.lattice.scale(d11)), left=o2)
-    target = d11 * d21 * n_psi
-    c = isqrt(target)
-    if c * c == target and jk.lattice == o2.lattice.scale(c):
-        # jk = c*O2 (always so on the general route, where I_psi = I11 cap I21):
-        # its minima are c*u for the units u of O2, so xi needs no search
-        xi = _kept_minimum(jk.lattice, [u * c for u in o2.units()])
-    else:
-        xi, val = jk.lattice.min_nonzero_norm()
-        if val != target:
+    jk = j11.lattice.scale(d21).add(j21.lattice.scale(d11))
+    if generators is None:
+        xi = _principal_generator(jk, o2)
+        if xi is None:
             raise CompletionPreconditionError(
-                f"quotient by ker + ker is not isomorphic to the second source: "
-                f"minimal norm {val} exceeds the target {target}")
+                "quotient by ker + ker is not isomorphic to the second source: "
+                "d21*J11 + d11*J21 is not principal")
+    else:
+        xi = _known_generator(o2.lattice, o2, jk, generators[2])
 
     xi11, xi21 = _split_xi(j11, j21, d11, d21, xi)
     # I_psi is realized by the scalar s = Nrd(F1): b12 = b11*conj(s)*conj(xi11)/(d11*Nrd(s))
@@ -258,8 +246,9 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
 
     Computes an equivalent l-power-norm ideal I11 = F*conj(beta)/Nrd(F) for
     the frame F of n1p, a norm-l^m element alpha, a local generator x, and
-    completes the column (I11, O0*x) with the known quaternions
-    conj(beta)/Nrd(F) and x.  Only budget and precondition failures are retried.
+    completes the column (I11, O0*x) from its generators conj(beta)/Nrd(F),
+    x and alpha*x: alpha*x lies in I11 with norm d11*d21, so jk = O0*alpha*x.
+    Completion then has no search to fail; only budget failures are retried.
     """
     rng = rng or random.Random(0)
     alg = n1p.alg
@@ -285,8 +274,9 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
             alpha, x = local_generator(ell, i11, alpha)
             i21 = principal_ideal(o0, x)
             b11 = beta.conjugate() / n1p.frame_norm()
-            return isomorphism_completion(base, n1p, base, base, i11, i21, generators=(b11, x))
-        except (SamplingBudgetError, CompletionPreconditionError) as err:
+            return isomorphism_completion(base, n1p, base, base, i11, i21,
+                                          generators=(b11, x, alpha * x))
+        except SamplingBudgetError as err:
             last = err
     raise SamplingBudgetError(f"low_discriminant_isomorphism failed: {last}")
 
@@ -306,8 +296,9 @@ def isomorphism_E0(n1, n2, rng: random.Random | None = None, *,
     i2, beta2 = equivalent_power_norm_ideal(n2.frame, ell2, rng)
     ik = sum_kernel_ideal(i1, i2)
     n3 = node_from_ideal(ik)
-    # I = frame*conj(beta)/Nrd(frame): the column quaternions are conj(beta)/Nrd(frame)
-    gens = (beta1.conjugate() / n1.frame_norm(), beta2.conjugate() / n2.frame_norm())
+    # I = frame*conj(beta)/Nrd(frame) gives b11, b21; I_psi = ik, so jk = Nrd(ik)*O3
+    gens = (beta1.conjugate() / n1.frame_norm(), beta2.conjugate() / n2.frame_norm(),
+            alg.quaternion(i1.nrd() * i2.nrd()))
     f_mat = isomorphism_completion(base, n1, n3, n2, i1, i2, generators=gens).matrix
     g_mat = low_discriminant_isomorphism(n3, ell_low, rng).matrix
     g_swapped = swap_rows(g_mat)  # E0^2 -> E0 x E3
@@ -468,6 +459,10 @@ def verify_ideal_quadruple(i11: Ideal, i21: Ideal, i12: Ideal, i22: Ideal) -> Qu
     n2p, m21 = extend_node(n1, i21)
     ik = sum_kernel_ideal(i11, i21)
     n2, _ = extend_node(n1, ik)
+
+    # one Order object for O2 = O_L(I12) = O_L(I22): its trace-zero minimum is computed once
+    if i22.left_order() == i12.left_order():
+        i22 = Ideal(i22.lattice, left=i12.left_order(), right=i22.right_order(), nrd=i22.nrd())
 
     # realign the second-column ideals into the reconstructed embedding and
     # recover morphism candidates (up to automorphism twists on both sides)

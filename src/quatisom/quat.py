@@ -10,20 +10,77 @@ product formula for both.  Coordinates, norms and traces are handed out as
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
 
-# Deterministic Miller-Rabin; this base set is proven correct for
-# n < 3_317_044_064_679_887_385_961_981, far beyond desk scale.
+# Miller-Rabin to the first 12 prime bases is deterministic below
+# psi_12 = 318665857834031151167461 (Sorenson-Webster, Math. Comp. 2017);
+# above it a strong Lucas test is added, which makes the test Baillie-PSW.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 37 with no prime factor up to 37.
+
+    Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d*2^s, n passes when
+    U_d = 0 or V_(d*2^r) = 0 mod n for some 0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    disc = 5
+    while (j := _jacobi(disc, n)) == 1:
+        disc = -disc - 2 if disc > 0 else -disc + 2
+    if j == 0:
+        return n == abs(disc)
+    q = (1 - disc) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(x):
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    # (U_k, V_k, Q^k) from k = 1 along the bits of d: k -> 2k, then k -> k + 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(disc * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic below psi_12; Baillie-PSW above it, with no known
+    counterexample."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -41,7 +98,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
 
 
 class QuatAlgebra:

@@ -22,6 +22,11 @@ candidates once, in a fixed order, and draws no randomness, so the random
 draws after it (and the mu it finds) changed.  The `complete` digests did
 not move, since completion draws no randomness, and CLI `verify` accepts
 the new `lowdisc` files.
+
+No digest moved when completion started to take xi, like b11 and b21, from
+a generator the pipeline holds (alpha*x, or the scalar d11*d21) instead of
+searching for it: the generator is normalized to the element the search
+keeps.
 """
 
 import hashlib

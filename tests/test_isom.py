@@ -14,10 +14,10 @@ import quatisom
 from quatisom import (CompletionPreconditionError, QuatAlgebra, SamplingBudgetError,
                       VerificationError, base_node, equivalent_power_norm_ideal,
                       isom_g_products, isom_two_products, isomorphism_E0,
-                      isomorphism_completion, kani_degree, kernel_ideal,
+                      isomorphism_completion, kani_degree, kernel_ideal, local_generator,
                       low_discriminant_isomorphism, node_from_ideal, principal_ideal,
-                      random_left_ideal, standard_extremal_order, sum_kernel_ideal,
-                      swap_with_E0, verify_ideal_quadruple)
+                      random_left_ideal, represent_integer, standard_extremal_order,
+                      sum_kernel_ideal, swap_with_E0, verify_ideal_quadruple)
 from quatisom import isom, orders
 from quatisom.homframe import transpose, mat_compose
 from quatisom.isom import (_bezout_split, _canonical_generator, _principal_generator,
@@ -187,8 +187,15 @@ def test_completion_negative_control(o0_103, alg103):
 
 
 def test_lowdisc_base_target(alg103):
-    res = low_discriminant_isomorphism(base_node(alg103), 3, random.Random(86))
+    base = base_node(alg103)
+    res = low_discriminant_isomorphism(base, 3, random.Random(86))
     assert kani_degree(res.matrix) == 1
+    # d11 = d21 = 1, so jk = O0: xi is the unit the search keeps, as when
+    # the completion searches
+    cert = res.certificate
+    assert cert.d11 == cert.d21 == 1
+    searched = isomorphism_completion(base, base, base, base, cert.i11, cert.i21)
+    assert searched.certificate == cert and searched.matrix == res.matrix
 
 
 @pytest.mark.parametrize("ell", [2, 9, 103])
@@ -202,7 +209,7 @@ def test_lowdisc_rejects_bad_ell_before_any_attempt(alg103, monkeypatch, ell):
 
 
 def test_lowdisc_does_not_retry_value_errors(o0_103, monkeypatch):
-    # only budget and precondition failures are retried: a ValueError inside
+    # only budget failures are retried: a ValueError inside
     # an attempt is a fault and propagates from the first attempt
     calls = []
 
@@ -453,8 +460,8 @@ def test_split_checks_survive_python_O(pair, message):
 def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     # completion, division, orders and norms are closed form: no pipeline may
     # reach HNF with transform, the integer kernel or system solver, a
-    # lattice intersection or the principal-generator search (the pipelines
-    # hold their generators), and a completion reduces at most four 16-row
+    # lattice intersection or any shortest-vector search (the pipelines hold
+    # all three generators of a completion), and a completion reduces at most four 16-row
     # products: J11, J21 and the two division identities
     rng = random.Random(94)
     nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(4)]
@@ -468,6 +475,7 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
     monkeypatch.setattr(Lattice4, "intersect", forbidden)
+    monkeypatch.setattr(Lattice4, "min_nonzero_norm", forbidden)
 
     counts, active = [], []
     hnf_rows, completion = orders.hnf_rows, isom.isomorphism_completion
@@ -499,13 +507,32 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
 
 
 def _pipeline_column(o0, rng):
-    """The first column isomorphism_E0 completes, with its known quaternions."""
+    """The first column isomorphism_E0 completes, with its known generators."""
     n1, n2 = (node_from_ideal(random_left_ideal(o0, 3, 3, rng)) for _ in range(2))
     i1, beta1 = equivalent_power_norm_ideal(n1.frame, 3, rng)
     i2, beta2 = equivalent_power_norm_ideal(n2.frame, 5, rng)
     n3 = node_from_ideal(sum_kernel_ideal(i1, i2))
-    gens = (beta1.conjugate() / n1.frame_norm(), beta2.conjugate() / n2.frame_norm())
+    gens = (beta1.conjugate() / n1.frame_norm(), beta2.conjugate() / n2.frame_norm(),
+            o0.alg.quaternion(i1.nrd() * i2.nrd()))
     return (base_node(o0.alg), n1, n3, n2, i1, i2), gens
+
+
+def _lowdisc_column(o0, rng, ell=3):
+    """The column low_discriminant_isomorphism completes, with its known
+    generators: KLPT's ideal I11, an l-primitive alpha and the local
+    generator x of I21 = O0*x."""
+    node = node_from_ideal(random_left_ideal(o0, 5, 3, rng))
+    i11, beta = equivalent_power_norm_ideal(node.frame, ell, rng)
+    m, n = 0, i11.nrd()
+    while n % ell == 0:
+        n, m = n // ell, m + 1
+    alpha = represent_integer(o0, ell ** m, rng)
+    while m and o0.lattice.scale(ell).contains(alpha):
+        alpha = represent_integer(o0, ell ** m, rng)
+    alpha, x = local_generator(ell, i11, alpha)
+    base = base_node(o0.alg)
+    gens = (beta.conjugate() / node.frame_norm(), x, alpha * x)
+    return (base, node, base, base, i11, principal_ideal(o0, x)), gens
 
 
 def test_completion_from_generators_matches_search(o0_103):
@@ -515,39 +542,42 @@ def test_completion_from_generators_matches_search(o0_103):
     assert given.matrix == searched.matrix
     assert given.certificate == searched.certificate
     # -1 is a unit of every order, so it normalizes away
-    flipped = isomorphism_completion(*args, generators=(-gens[0], -gens[1]))
+    flipped = isomorphism_completion(*args, generators=tuple(-g for g in gens))
     assert flipped.certificate == searched.certificate
 
 
 @pytest.mark.parametrize("p", [103, 503, 1019])
 def test_closed_form_xi_matches_search(monkeypatch, p):
-    # on the general route jk = c*O2, so xi is taken from the units of O2
-    # without a search; it must be the minimum the search keeps
+    # on both routes the pipelines know xi (the scalar d11*d21 on the
+    # general route, alpha*x on the low-discriminant one), so completion
+    # searches nothing; its output must be what the search finds
     o0 = standard_extremal_order(QuatAlgebra(p))
-    args, gens = _pipeline_column(o0, random.Random(p))
+    rng = random.Random(p)
 
-    def forbidden(self):
-        pytest.fail("the general-route completion searched for xi")
+    def forbidden(*args, **kwargs):
+        pytest.fail("a completion from known generators searched")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(Lattice4, "min_nonzero_norm", forbidden)
-        closed = isomorphism_completion(*args, generators=gens)
-    with monkeypatch.context() as patch:
-        patch.setattr(isom, "isqrt", lambda n: 0)  # no c with c^2 = target: search
-        searched = isomorphism_completion(*args, generators=gens)
-    assert closed.certificate == searched.certificate
-    assert closed.matrix == searched.matrix
+    for args, gens in (_pipeline_column(o0, rng), _lowdisc_column(o0, rng)):
+        with monkeypatch.context() as patch:
+            patch.setattr(Lattice4, "min_nonzero_norm", forbidden)
+            patch.setattr(isom, "_principal_generator", forbidden)
+            given = isomorphism_completion(*args, generators=gens)
+        searched = isomorphism_completion(*args)
+        assert given.certificate == searched.certificate
+        assert given.matrix == searched.matrix
 
 
 def test_completion_rejects_wrong_generator(o0_103, alg103):
     args, gens = _pipeline_column(o0_103, random.Random(96))
     one_plus_i = alg103.quaternion(1, 1)
-    with pytest.raises(VerificationError):
-        isomorphism_completion(*args, generators=(gens[0] * one_plus_i, gens[1]))
-    with pytest.raises(VerificationError):
-        isomorphism_completion(*args, generators=(gens[0], gens[1] * one_plus_i))
-    with pytest.raises(VerificationError):
-        isomorphism_completion(*args, generators=(alg103.zero(), gens[1]))
+    wrong = [(gens[0] * one_plus_i, gens[1], gens[2]),
+             (gens[0], gens[1] * one_plus_i, gens[2]),
+             (alg103.zero(), gens[1], gens[2]),
+             (gens[0], gens[1], gens[2] * one_plus_i),
+             (gens[0], gens[1], alg103.zero())]
+    for bad in wrong:
+        with pytest.raises(VerificationError):
+            isomorphism_completion(*args, generators=bad)
 
 
 def test_swapped_certificate_fails_with_warm_product_memo(o0_103):
@@ -591,8 +621,10 @@ def test_canonical_generator_matches_search(p):
             g = _random_quaternion(alg, rng)
             expected = _principal_generator(order.lattice.rmul_q(g), order)
             assert _canonical_generator(order, g) == expected
+        # a unit generates the order itself: the search keeps one of its units
+        kept_unit = _principal_generator(order.lattice, order)
         for u in order.units():
-            assert _canonical_generator(order, u) == alg.one()
+            assert _canonical_generator(order, u) == kept_unit
 
 
 def test_library_has_no_assert():

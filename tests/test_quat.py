@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatisom import QuatAlgebra, Quaternion, conjugate, multiply, reduced_norm, reduced_trace
+from quatisom.quat import _strong_lucas, is_prime
 from quatisom.serialization import quaternion_from_json, quaternion_to_json
 
 
@@ -218,3 +219,42 @@ def test_integer_form_is_canonical(alg103):
         b / 0
     with pytest.raises(ZeroDivisionError):
         alg103.zero().inverse()
+
+
+def _sieve(n):
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for q in range(2, int(n ** 0.5) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytearray(len(flags[q * q::q]))
+    return flags
+
+
+def test_is_prime_matches_a_sieve():
+    flags = _sieve(30000)
+    assert all(is_prime(n) == bool(flags[n]) for n in range(len(flags)))
+
+
+def test_strong_lucas_pseudoprimes():
+    # the strong Lucas pseudoprimes below 120000 (Selfridge's parameters,
+    # OEIS A217255): the Lucas half of Baillie-PSW passes exactly these
+    # composites, which Miller-Rabin to base 2 rejects
+    flags = _sieve(120000)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    passed = [n for n in range(41, len(flags), 2)
+              if all(n % q for q in small) and _strong_lucas(n) != bool(flags[n])]
+    assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                      58519, 75077, 97439, 100127, 113573, 115639]
+    assert not any(is_prime(n) for n in passed)
+
+
+def test_is_prime_above_the_miller_rabin_bound():
+    # psi_12 and psi_13 are strong pseudoprimes to every base up to 37, so
+    # twelve Miller-Rabin rounds alone accept them
+    psi12 = 318665857834031151167461
+    psi13 = 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441 and psi13 % 1287836182261 == 0
+    assert not is_prime(psi12) and not is_prime(psi13)
+    for prime in (2 ** 61 - 1, 2 ** 127 - 1, 2 ** 128 + 51):
+        assert is_prime(prime)
+    assert QuatAlgebra(2 ** 128 + 51).p == 2 ** 128 + 51
