@@ -10,7 +10,7 @@ expressions in the frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from .localization import VerificationError, _check  # noqa: F401 (re-exported)
@@ -75,14 +75,25 @@ def hom_lattice(src: Node, dst: Node) -> Lattice4:
 
 @dataclass(frozen=True)
 class Mor:
-    """Morphism src -> dst given by its quaternion under the frame model."""
+    """Morphism src -> dst given by its quaternion under the frame model.
+
+    `Mor(src, dst, elem)` checks the lattice condition frame(dst)*elem <=
+    frame(src), i.e. that elem lies in `hom_lattice(src, dst)`.  So does
+    every morphism made from a raw quaternion: `identity_mor`, `zero_mor`,
+    `extend_node`, `make_automorphism`'s scalar entries, `mor_from_json`,
+    completion entries and the unit twists of `verify_ideal_quadruple`.
+    `compose`, `add_mor`, `scalar_mul` and `dual` skip it through the
+    private `_derived=True`: hom lattices are closed under them (see
+    each function), so a morphism made from checked ones needs no test.
+    """
 
     src: Node
     dst: Node
     elem: Quaternion
+    _derived: InitVar[bool] = False
 
-    def __post_init__(self):
-        if not self.elem.is_zero():
+    def __post_init__(self, _derived):
+        if not _derived and not self.elem.is_zero():
             if not self.src.frame.lattice.contains_rmul(self.dst.frame.lattice, self.elem):
                 raise ValueError("lattice condition frame(dst)*elem <= frame(src) fails")
 
@@ -113,26 +124,37 @@ def zero_mor(src: Node, dst: Node) -> Mor:
 
 
 def compose(g: Mor, f: Mor) -> Mor:
-    """g o f (f first); the quaternion is g.elem * f.elem."""
+    """g o f (f first); the quaternion is g.elem * f.elem.
+
+    frame(C)*g.elem*f.elem <= frame(B)*f.elem <= frame(A), so the result
+    keeps the lattice condition unchecked.
+    """
     if f.dst != g.src:
         raise ValueError("endpoint mismatch in composition")
-    return Mor(f.src, g.dst, g.elem * f.elem)
+    return Mor(f.src, g.dst, g.elem * f.elem, _derived=True)
 
 
 def add_mor(f: Mor, g: Mor) -> Mor:
+    """f + g; frame(dst)*(a + b) <= frame(dst)*a + frame(dst)*b <= frame(src)."""
     if f.src != g.src or f.dst != g.dst:
         raise ValueError("endpoint mismatch in sum")
-    return Mor(f.src, f.dst, f.elem + g.elem)
+    return Mor(f.src, f.dst, f.elem + g.elem, _derived=True)
 
 
 def scalar_mul(c: int, f: Mor) -> Mor:
-    return Mor(f.src, f.dst, f.elem * c)
+    """c*f for an integer c; frame(src) is closed under integer multiples."""
+    return Mor(f.src, f.dst, f.elem * c, _derived=True)
 
 
 def dual(f: Mor) -> Mor:
-    """The dual morphism dst -> src; dual(f) o f is the scalar deg(f)."""
+    """The dual morphism dst -> src; dual(f) o f is the scalar deg(f).
+
+    Its quaternion conj(b)*Nrd(F_dst)/Nrd(F_src) lies in
+    conj(F_src)*F_dst/Nrd(F_src) = `hom_lattice(dst, src)` because b lies in
+    conj(F_dst)*F_src/Nrd(F_dst), so it keeps the lattice condition unchecked.
+    """
     e = f.elem.conjugate() * Fraction(f.dst.frame_norm(), f.src.frame_norm())
-    return Mor(f.dst, f.src, e)
+    return Mor(f.dst, f.src, e, _derived=True)
 
 
 def kernel_ideal(f: Mor) -> Ideal:

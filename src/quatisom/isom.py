@@ -25,8 +25,8 @@ from .homframe import (Certificate, Mor, Mor2x2, VerificationError,  # noqa: F40
                        node_from_ideal, swap_rows, transpose)
 from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
-from .orders import (Ideal, Order, SamplingBudgetError, _span_coords, connecting_ideal,
-                     multiply_ideals, principal_ideal, standard_extremal_order, two_sided_prime)
+from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, multiply_ideals,
+                     principal_ideal, standard_extremal_order, two_sided_prime)
 from .quat import Quaternion, is_prime
 
 
@@ -99,23 +99,31 @@ def _canonical_generator(order: Order, b: Quaternion) -> Quaternion:
     """The generator of order*b that `_principal_generator` returns, from b.
 
     The minimal-norm elements of order*b are u*b for the units u, and
-    `shortest_vector` keeps the one whose coefficients on the HNF basis have
-    a positive first nonzero entry and are lexicographically smallest.  Each
-    u*b lies in order*b, so its coefficients are integers (denominator 1).
+    `shortest_vector` keeps the one whose coefficients c on the HNF basis H
+    of order*b have a positive first nonzero entry and are lexicographically
+    smallest.  H is upper triangular with a positive diagonal, so coordinate
+    t of c*H is c[t]*H[t][t] plus terms in c[0..t-1]: the (1, i, j, k)
+    coordinates have the same first nonzero sign and the same lexicographic
+    order as c.  The candidates are ranked on those coordinates, with no HNF.
     """
-    lat = order.lattice.rmul_q(b)
     best = None
     for gen in (u * b for u in order.units()):
-        _, coeffs = _span_coords(lat.mat, [v * lat.den for v in gen.num], gen.den)
-        if next(c for c in coeffs if c) > 0 and (best is None or coeffs < best[0]):
-            best = (coeffs, gen)
+        coords = gen.coords()
+        if next(c for c in coords if c) > 0 and (best is None or coords < best[0]):
+            best = (coords, gen)
     return best[1]
 
 
 def _known_generator(lat, order: Order, target, g: Quaternion) -> Quaternion:
     """`_canonical_generator(order, g)` for order = O_R(lat), once
-    lat*g = target is checked; VerificationError when it does not hold."""
-    if g.is_zero() or lat.rmul_q(g) != target:
+    lat*g = target is checked; VerificationError when it does not hold.
+
+    Right multiplication by g scales the covolume by Nrd(g)^2, so
+    lat*g <= target together with det(lat)*Nrd(g)^2 = det(target) is
+    equality, checked on the four product rows with no HNF.  g = 0 fails
+    the second condition.
+    """
+    if lat.det() * g.reduced_norm() ** 2 != target.det() or not target.contains_rmul(lat, g):
         raise VerificationError("a given generator does not solve its ideal equation")
     return _canonical_generator(order, g)
 
@@ -174,10 +182,11 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
 
     The unknowns b11, b21, xi generate principal ideals: frame(n1p)*b11 =
     frame(n1)*I11, frame(n2p)*b21 = frame(n1)*I21 and O2*xi = jk.  Pipelines
-    pass the three they hold as `generators`; each is checked by one lattice
-    comparison (VerificationError) and normalized to the element the search
-    would find, so the output does not depend on which was given.  Without
-    them the search runs; a miss raises CompletionPreconditionError.
+    pass the three they hold as `generators`; each is checked exactly by
+    `_known_generator` (VerificationError) and normalized to the element
+    the search would find, so the output does not depend on which was
+    given.  Without them the search runs; a miss raises
+    CompletionPreconditionError.
     """
     o1, o2 = n1.order, n2.order
     if i11.left_order() != o1 or i21.left_order() != o1:
@@ -197,11 +206,12 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
         b21 = _known_morphism_elem(n1, n2p, i21, generators[1])
 
     # frame(n1p)*b11 = frame(n1)*I11, so O_R(I11) = b11^-1*O(n1p)*b11 without
-    # the product conj(I11)*I11; likewise for I21
-    i11 = Ideal(i11.lattice, left=o1, nrd=d11,
-                right=Order(n1p.order.lattice.lmul_q(b11.inverse()).rmul_q(b11)))
-    i21 = Ideal(i21.lattice, left=o1, nrd=d21,
-                right=Order(n2p.order.lattice.lmul_q(b21.inverse()).rmul_q(b21)))
+    # the product conj(I11)*I11; likewise for I21.  A conjugate of a maximal
+    # order is one, so the closure test is skipped.
+    i11 = Ideal(i11.lattice, left=o1, nrd=d11, right=Order(
+        n1p.order.lattice.lmul_q(b11.inverse()).rmul_q(b11), _certified=True))
+    i21 = Ideal(i21.lattice, left=o1, nrd=d21, right=Order(
+        n2p.order.lattice.lmul_q(b21.inverse()).rmul_q(b21), _certified=True))
 
     f2 = n2.frame.lattice
     i_psi = Ideal(f2 if n1.is_base() else n1.frame.lattice.conjugate().mul(f2),
@@ -460,9 +470,16 @@ def verify_ideal_quadruple(i11: Ideal, i21: Ideal, i12: Ideal, i22: Ideal) -> Qu
     ik = sum_kernel_ideal(i11, i21)
     n2, _ = extend_node(n1, ik)
 
-    # one Order object for O2 = O_L(I12) = O_L(I22): its trace-zero minimum is computed once
-    if i22.left_order() == i12.left_order():
-        i22 = Ideal(i22.lattice, left=i12.left_order(), right=i22.right_order(), nrd=i22.nrd())
+    # one Order object per distinct order, so each trace-zero minimum is
+    # computed once: O2 = O_L(I12) = O_L(I22), and in a control with equal
+    # second-column ideals a right order that the first column already built
+    shared = {o: o for o in (i11.right_order(), i21.right_order())}
+
+    def reuse(order):
+        return shared.setdefault(order, order)
+
+    i12, i22 = (Ideal(x.lattice, left=reuse(x.left_order()), right=reuse(x.right_order()),
+                      nrd=x.nrd()) for x in (i12, i22))
 
     # realign the second-column ideals into the reconstructed embedding and
     # recover morphism candidates (up to automorphism twists on both sides)

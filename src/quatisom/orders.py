@@ -228,10 +228,17 @@ def _lattice_mul(a: Lattice4, b: Lattice4) -> Lattice4:
 
 
 def _unit_order(lat: Lattice4, left: bool) -> "Order":
-    """O_L(L) = L*conj(L)/n or O_R(L) = conj(L)*L/n with n = Nrd(L) = sqrt(4*|det L|),
-    as every maximal order has covolume 1/4 on (1, i, j, k).  Certified on every
-    call: an order of covolume 1/4 is maximal, and one that acts on L lies in, so
-    equals, the order of L.  Raises ValueError when that order is not maximal."""
+    """O_L(L) = L*conj(L)/n or O_R(L) = conj(L)*L/n with n = Nrd(L) = sqrt(4*|det L|).
+
+    Certified on every call, without `Order`'s closure test.  Every order of
+    B_{p,oo} lies in a maximal order, and every maximal order has covolume
+    1/4 on (1, i, j, k), so every order has covolume >= 1/4, with equality
+    only for maximal orders (Voight, Quaternion Algebras, ch. 15-16).  The
+    candidate Lambda passes two checks: its covolume is 1/4, and
+    Lambda*L <= L (L*Lambda <= L for the right order).  The second puts
+    Lambda inside O_L(L) (O_R(L)), which is an order, so that order has
+    covolume <= 1/4; hence it equals Lambda and is maximal.  Raises
+    ValueError when the order of L is not maximal."""
     p, mat, den = lat.alg.p, lat.mat, lat.den
     idx = 4 * abs(lat.det())
     n = Fraction(isqrt(idx.numerator), isqrt(idx.denominator))
@@ -242,7 +249,6 @@ def _unit_order(lat: Lattice4, left: bool) -> "Order":
             raise ValueError(f"4*covolume {idx} is not a square")
         o = Lattice4(lat.alg, [[v * n.denominator for v in qmul(x, y, p)] for x, y in pairs],
                      den * den * n.numerator)
-        order = Order(o)
         if 4 * abs(o.det()) != 1:
             raise ValueError(f"the candidate order has covolume {abs(o.det())}")
         acts = [qmul(u, x, p) if left else qmul(x, u, p) for u in o.mat for x in mat]
@@ -250,7 +256,7 @@ def _unit_order(lat: Lattice4, left: bool) -> "Order":
             raise ValueError("the candidate order does not act on the lattice")
     except ValueError as err:
         raise ValueError(f"not an ideal of a maximal order: {err}") from None
-    return order
+    return Order(o, _certified=True)
 
 
 def left_order(lat: Lattice4) -> "Order":
@@ -268,7 +274,15 @@ def unit_orders(lat: Lattice4) -> tuple["Order", "Order"]:
 
 
 class Order:
-    """An order in B_{p,oo}; validity is checked at construction.
+    """An order in B_{p,oo}.
+
+    `Order(lattice)` checks that the lattice is an order: it contains 1, its
+    basis elements have integral trace and norm, and the 16 products of
+    basis elements lie in it.  The library builds an order without that
+    test only where it is already proven, through the private keyword
+    `_certified=True`: `left_order`/`right_order` (see `_unit_order`) and a
+    conjugate g^-1*O*g of an order O, which is the image of O under an
+    algebra automorphism.
 
     Its units and its trace-zero minimum are computed on first use and kept
     on the object.
@@ -276,10 +290,12 @@ class Order:
 
     __slots__ = ("lattice", "_units", "_trace_zero_min")
 
-    def __init__(self, lattice: Lattice4):
+    def __init__(self, lattice: Lattice4, *, _certified=False):
         self.lattice = lattice
         self._units = None
         self._trace_zero_min = None
+        if _certified:
+            return
         # basis element x = row/den: trace 2*row[0]/den, norm nrd(row)/den^2,
         # and x*y lies in the lattice iff row_x*row_y is in den*span(rows)
         p, mat, den = lattice.alg.p, lattice.mat, lattice.den

@@ -8,7 +8,8 @@ import pytest
 
 import quatisom
 from quatisom import (Mor, Mor2x2, base_node, compose, dual, extend_node, hom_lattice,
-                      kani_degree, kernel_ideal, make_automorphism, mat_compose,
+                      isom_two_products, isomorphism_E0, kani_degree, kernel_ideal,
+                      low_discriminant_isomorphism, make_automorphism, mat_compose,
                       node_from_ideal, random_left_ideal, transpose)
 from quatisom.homframe import (VerificationError, add_mor, identity_mor, is_scalar_matrix,
                                zero_mor)
@@ -193,6 +194,43 @@ def test_mor_validation(o0_103, alg103):
         compose(f, f)  # endpoint mismatch
     with pytest.raises(ValueError):
         add_mor(f, g)
+
+
+def _kani_intermediates(mat):
+    """The morphisms kani_degree builds: dual(m12), dual(m22), both
+    compositions and their sum."""
+    d12, d22 = dual(mat.m12), dual(mat.m22)
+    left, right = compose(d12, mat.m11), compose(d22, mat.m21)
+    return [d12, d22, left, right, add_mor(left, right)]
+
+
+def test_derived_morphisms_keep_the_lattice_condition(monkeypatch, o0_103):
+    # compose, add_mor, scalar_mul and dual skip the lattice test; the
+    # checked constructor Mor(src, dst, elem) is the oracle for every
+    # morphism they build in the pipelines and on the pipelines' outputs
+    derived = []
+    post_init = Mor.__post_init__
+
+    def recording(self, _derived):
+        if _derived:
+            derived.append(self)
+        post_init(self, _derived)
+
+    monkeypatch.setattr(Mor, "__post_init__", recording)
+    rng = random.Random(74)
+    nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(4)]
+    outputs = [low_discriminant_isomorphism(nodes[0], 3, rng).matrix,
+               isomorphism_E0(nodes[0], nodes[1], rng),
+               isom_two_products(nodes[0], nodes[1], nodes[2], nodes[3], rng)]
+    in_pipelines = len(derived)
+    assert in_pipelines > 0
+    for mat in outputs:
+        t = transpose(mat)
+        for m in (mat, t, mat_compose(mat, t), mat_compose(t, mat)):
+            _kani_intermediates(m)
+    assert len(derived) > in_pipelines
+    for m in derived:
+        Mor(m.src, m.dst, m.elem)  # raises ValueError if the condition fails
 
 
 _UNCHECKED_DEGREE_SCRIPT = """

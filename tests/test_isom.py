@@ -457,6 +457,41 @@ def test_split_checks_survive_python_O(pair, message):
     assert message in proc.stdout
 
 
+_UNCHECKED_INPUT_SCRIPT = """
+import sys
+from fractions import Fraction
+if __debug__:
+    sys.exit(3)  # not running under -O
+import quatisom.isom as isom
+from quatisom import QuatAlgebra, VerificationError, standard_extremal_order
+from quatisom.serialization import ideal_from_json
+o0 = standard_extremal_order(QuatAlgebra(103))
+# 3*Z<1, i, j, k> has index 81 in O0, but its orders are Z<1, i, j, k>, not maximal
+data = {"p": "103", "denominator": "1", "nrd": "9",
+        "basis": [["3", "0", "0", "0"], ["0", "3", "0", "0"], ["0", "0", "3", "0"],
+                  ["0", "0", "0", "3"]]}
+try:
+    ideal_from_json(data, o0.alg)
+    sys.exit(1)
+except ValueError:
+    pass
+# O0*(3 + 4i)/5 has the covolume of O0 but is not O0
+g = o0.alg.quaternion(Fraction(3, 5), Fraction(4, 5))
+try:
+    isom._known_generator(o0.lattice, o0, o0.lattice, g)
+    sys.exit(2)
+except VerificationError:
+    sys.exit(0)
+"""
+
+
+def test_input_checks_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(quatisom.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNCHECKED_INPUT_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     # completion, division, orders and norms are closed form: no pipeline may
     # reach HNF with transform, the integer kernel or system solver, a
@@ -570,11 +605,19 @@ def test_closed_form_xi_matches_search(monkeypatch, p):
 def test_completion_rejects_wrong_generator(o0_103, alg103):
     args, gens = _pipeline_column(o0_103, random.Random(96))
     one_plus_i = alg103.quaternion(1, 1)
+    # (3 + 4i)/5 has norm 1 and lies in no order, so each twisted generator
+    # has the right reduced norm but generates another lattice: only the
+    # containment half of the check rejects it
+    twist = alg103.quaternion(Fraction(3, 5), Fraction(4, 5))
+    assert twist.reduced_norm() == 1
     wrong = [(gens[0] * one_plus_i, gens[1], gens[2]),
              (gens[0], gens[1] * one_plus_i, gens[2]),
              (alg103.zero(), gens[1], gens[2]),
              (gens[0], gens[1], gens[2] * one_plus_i),
-             (gens[0], gens[1], alg103.zero())]
+             (gens[0], gens[1], alg103.zero()),
+             (gens[0] * twist, gens[1], gens[2]),
+             (gens[0], gens[1] * twist, gens[2]),
+             (gens[0], gens[1], gens[2] * twist)]
     for bad in wrong:
         with pytest.raises(VerificationError):
             isomorphism_completion(*args, generators=bad)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt, lcm
 
 import pytest
@@ -275,6 +276,98 @@ def test_nrd_index_consistency(o0_103):
         assert ideal.lattice.index_in(o0_103.lattice) == n * n
         for b in ideal.basis():
             assert b.reduced_norm() % n == 0
+
+
+def _unit_order_reference(lat, left):
+    """The former `_unit_order`: the same candidate order, certified by the
+    full closure test of the public `Order(...)` as well as by its covolume
+    and its action on the lattice."""
+    p, mat, den = lat.alg.p, lat.mat, lat.den
+    idx = 4 * abs(lat.det())
+    n = Fraction(isqrt(idx.numerator), isqrt(idx.denominator))
+    conj = [(r[0], -r[1], -r[2], -r[3]) for r in mat]
+    pairs = product(mat, conj) if left else product(conj, mat)
+    try:
+        if n * n != idx:
+            raise ValueError(f"4*covolume {idx} is not a square")
+        o = Lattice4(lat.alg, [[v * n.denominator for v in qmul(x, y, p)] for x, y in pairs],
+                     den * den * n.numerator)
+        order = Order(o)
+        if 4 * abs(o.det()) != 1:
+            raise ValueError(f"the candidate order has covolume {abs(o.det())}")
+        acts = [qmul(u, x, p) if left else qmul(x, u, p) for u in o.mat for x in mat]
+        if not lat._contains_rows(acts, o.den * den):
+            raise ValueError("the candidate order does not act on the lattice")
+    except ValueError as err:
+        raise ValueError(f"not an ideal of a maximal order: {err}") from None
+    return order
+
+
+def _ideal_from_json_reference(data, alg):
+    """`ideal_from_json` with its left order from `_unit_order_reference`."""
+    lat = Lattice4(alg, [[int(v) for v in row] for row in data["basis"]],
+                   int(data["denominator"]))
+    ideal = Ideal(lat, left=_unit_order_reference(lat, left=True))
+    if ideal.nrd() != int(data["nrd"]):
+        raise ValueError("stored reduced norm does not match the lattice")
+    return ideal
+
+
+def _outcome(func, *args):
+    """func(*args), or ValueError when it raises one."""
+    try:
+        return func(*args)
+    except ValueError:
+        return ValueError
+
+
+def _assert_unit_orders_match_reference(lat, nrd):
+    """left_order, right_order and ideal_from_json raise exactly when the
+    reference does, and otherwise give the same order or ideal."""
+    alg = lat.alg
+    data = {"p": str(alg.p), "denominator": str(lat.den), "nrd": str(nrd),
+            "basis": [[str(v) for v in row] for row in lat.mat]}
+    left = _outcome(left_order, lat)
+    assert left == _outcome(_unit_order_reference, lat, True)
+    assert _outcome(right_order, lat) == _outcome(_unit_order_reference, lat, False)
+    assert _outcome(ideal_from_json, data, alg) == _outcome(_ideal_from_json_reference, data, alg)
+    return left is not ValueError
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019, 2 ** 61 + 15])
+def test_unit_orders_match_closure_checked_reference(p):
+    # left_order/right_order certify by covolume 1/4 and the action on the
+    # lattice, without Order's closure test; the reference keeps that test
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    rng = random.Random(p)
+    for ell, m in ((3, 3), (5, 2), (7, 2), (3, 5)):
+        ideal = random_left_ideal(o0, ell, m, rng)
+        # the conjugate is a left ideal of O_R(ideal), an order other than O0
+        for x in (ideal, ideal.conjugate(), ideal.scale(Fraction(1, 3))):
+            assert _assert_unit_orders_match_reference(x.lattice, ideal.nrd())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unit_orders_of_altered_ideals_match_reference(data):
+    # an ideal with one basis row replaced, or scaled by a rational: mostly
+    # no ideal of a maximal order, sometimes still one (a row times -1)
+    alg = QuatAlgebra(data.draw(st.sampled_from([103, 503])))
+    o0 = standard_extremal_order(alg)
+    ideal = random_left_ideal(o0, data.draw(st.sampled_from([3, 5])), 2,
+                              random.Random(data.draw(st.integers(0, 10 ** 6))))
+    rows = [list(r) for r in ideal.lattice.mat]
+    den = ideal.lattice.den
+    r = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        rows[r] = data.draw(st.lists(st.integers(-12, 12), min_size=4, max_size=4))
+        assume(_det4(rows) != 0)
+    else:
+        c = Fraction(data.draw(st.sampled_from([-1, 2, -3, Fraction(1, 2), Fraction(2, 3)])))
+        rows = [[v * (c.numerator if t == r else c.denominator) for v in row]
+                for t, row in enumerate(rows)]
+        den *= c.denominator
+    _assert_unit_orders_match_reference(Lattice4(alg, rows, den), ideal.nrd())
 
 
 @pytest.mark.parametrize("rows, den, message", [
