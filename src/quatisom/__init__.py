@@ -17,7 +17,7 @@ from .isom import (CompletionPreconditionError, CompletionResult, QuadrupleRepor
                    VerificationError, is_isomorphic_order, isom_g_products,
                    isom_two_products, isomorphism_E0, isomorphism_completion,
                    low_discriminant_isomorphism, sum_kernel_ideal, swap_with_E0,
-                   verify_ideal_quadruple)
+                   verify_certificate, verify_ideal_quadruple)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

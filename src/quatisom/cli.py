@@ -1,8 +1,16 @@
 """Command-line front end: instance generation, algorithm runs, certificate
 verification and worked-example replay, all through JSON files.
 
-Exit codes: 0 verified success, 1 verification failure, 2 algorithmic
-failure (budget exhausted), 3 invalid input.
+`verify` reads two input formats.  A certificate that carries its matrix
+(as `complete` and `lowdisc` write it) is decided from that matrix with no
+search (`isom.verify_certificate`); `complete` and `lowdisc` run the same
+check before they write.  A file with the four ideals alone is decided by
+the generator and unit-twist search of `isom.verify_ideal_quadruple`.
+
+Exit codes: 0 verified success, 1 verification failure (a witness that
+parses but fails a check, named in the verdict's reason), 2 algorithmic
+failure (budget exhausted), 3 invalid input (including a frame that is not
+a left O0-ideal).
 """
 
 from __future__ import annotations
@@ -13,14 +21,15 @@ import json
 import random
 import sys
 
-from .homframe import base_node, kani_degree, node_from_ideal
-from .isom import (CompletionPreconditionError, VerificationError, isom_g_products,
-                   isom_two_products, isomorphism_E0, isomorphism_completion,
-                   low_discriminant_isomorphism, sum_kernel_ideal, verify_ideal_quadruple)
+from .homframe import LatticeConditionError, base_node, kani_degree, node_from_ideal
+from .isom import (CompletionPreconditionError, QuadrupleReport, VerificationError,
+                   isom_g_products, isom_two_products, isomorphism_E0, isomorphism_completion,
+                   low_discriminant_isomorphism, sum_kernel_ideal, verify_certificate,
+                   verify_ideal_quadruple)
 from .orders import Ideal, SamplingBudgetError, random_left_ideal, standard_extremal_order
 from .quat import QuatAlgebra, is_prime
-from .serialization import (certificate_to_json, dumps, ideal_from_json, ideal_to_json,
-                            matrix_to_json)
+from .serialization import (certificate_from_json, certificate_to_json, dumps,
+                            ideal_from_json, ideal_to_json, matrix_to_json)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -81,14 +90,12 @@ def _instance_ideals(alg, data, need: int) -> list[Ideal]:
 
 
 def _emit_result(args, alg, matrix, certificate=None) -> int:
-    if kani_degree(matrix) != 1:
-        return EXIT_VERIFY_FAILED
     if certificate is not None:
-        rep = verify_ideal_quadruple(certificate.i11, certificate.i21,
-                                     certificate.i12, certificate.i22)
-        if not rep.ok:
+        if not verify_certificate(certificate, matrix).ok:
             return EXIT_VERIFY_FAILED
         payload = certificate_to_json(certificate, matrix)
+    elif kani_degree(matrix) != 1:
+        return EXIT_VERIFY_FAILED
     else:
         payload = {"p": str(alg.p), "matrix": matrix_to_json(matrix)}
     _write(args.out, payload)
@@ -160,9 +167,17 @@ def cmd_isom_g(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    data = _load(args.infile)
-    alg = QuatAlgebra(int(data["p"]))
+def _verify_witness(data) -> QuadrupleReport:
+    """The verdict on a certificate file that carries its matrix."""
+    try:
+        cert, matrix = certificate_from_json(data)
+    except LatticeConditionError as err:
+        return QuadrupleReport(False, str(err))
+    return verify_certificate(cert, matrix)
+
+
+def _verify_ideals(data, alg) -> QuadrupleReport:
+    """The verdict on a file that holds only the four ideals."""
     src = data.get("ideals")
     if isinstance(src, dict):
         quad = [ideal_from_json(src[k], alg) for k in ("I11", "I21", "I12", "I22")]
@@ -172,7 +187,13 @@ def cmd_verify(args) -> int:
         quad = [ideal_from_json(data[k], alg) for k in ("I11", "I21", "I12", "I22")]
     else:
         raise InputError("verify needs the four ideals I11, I21, I12, I22")
-    rep = verify_ideal_quadruple(*quad)
+    return verify_ideal_quadruple(*quad)
+
+
+def cmd_verify(args) -> int:
+    data = _load(args.infile)
+    alg = QuatAlgebra(int(data["p"]))
+    rep = _verify_witness(data) if "matrix" in data else _verify_ideals(data, alg)
     _write(args.out, {"p": str(alg.p), "verified": rep.ok, "reason": rep.reason})
     return EXIT_OK if rep.ok else EXIT_VERIFY_FAILED
 
@@ -183,7 +204,8 @@ def _run_one(func, args) -> int:
     except InputError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as err:
+        # TypeError: a JSON value of the wrong shape, such as a number for an ideal
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (SamplingBudgetError, CompletionPreconditionError) as err:

@@ -15,42 +15,69 @@ from fractions import Fraction
 
 from .localization import VerificationError, _check  # noqa: F401 (re-exported)
 from .orders import Ideal, Lattice4, Order, multiply_ideals, standard_extremal_order
-from .quat import QuatAlgebra, Quaternion
+from .quat import QuatAlgebra, Quaternion, qmul
 
 
 @dataclass(frozen=True)
 class Node:
-    """A curve stand-in: maximal order (= End) plus a frame ideal from O0."""
+    """A curve stand-in: a frame ideal from O0, whose right order is the
+    maximal order End of the curve.
 
-    order: Order
+    The order is computed on first use and kept on the frame.  Equal frames
+    give equal nodes, since the frame determines the order.
+    """
+
     frame: Ideal
 
-    def __post_init__(self):
-        if self.frame._right is None:
-            self.frame._right = self.order
+    @property
+    def order(self) -> Order:
+        return self.frame.right_order()
 
     @property
     def alg(self) -> QuatAlgebra:
-        return self.order.alg
+        return self.frame.alg
 
     def frame_norm(self) -> int:
         return self.frame.nrd()
 
     def is_base(self) -> bool:
-        return self.frame.lattice == self.order.lattice
+        """Whether the frame is O0: a frame equal to its right order is a
+        ring containing O0, hence O0 by maximality."""
+        return self.frame.lattice == standard_extremal_order(self.alg).lattice
 
 
 def base_node(alg: QuatAlgebra) -> Node:
-    o0 = standard_extremal_order(alg)
-    return Node(order=o0, frame=o0.one_ideal())
+    return Node(frame=standard_extremal_order(alg).one_ideal())
 
 
 def node_from_ideal(ideal: Ideal) -> Node:
-    """Node with order O_R(I) and frame I, for a left O0-ideal I."""
+    """Node with order O_R(I) and frame I, for a left O0-ideal I; O_R(I) is
+    built here, so a frame whose order is not maximal fails at once."""
     o0 = standard_extremal_order(ideal.alg)
     if ideal.left_order() != o0:
         raise ValueError("frame ideals must be left ideals of the extremal order O0")
-    return Node(order=ideal.right_order(), frame=ideal)
+    ideal.right_order()
+    return Node(frame=ideal)
+
+
+def node_from_frame(lat: Lattice4) -> Node:
+    """Node with frame lat, for a lattice read from outside the library.
+
+    O0*lat <= lat, tested on the 16 products of basis rows, puts O0 inside
+    O_L(lat); O0 is maximal, so O_L(lat) = O0 with no HNF.  Raises
+    ValueError when lat is not a left O0-ideal.  The node's order is left
+    to its first use: a lattice with a maximal left order is an invertible
+    ideal, whose right order is maximal too, and the certificate check
+    needs only one of a matrix's orders.
+    """
+    o0 = standard_extremal_order(lat.alg)
+    if lat == o0.lattice:
+        return base_node(lat.alg)
+    if not lat.contains_product(o0.lattice, lat):
+        raise ValueError("a frame is not a left ideal of the extremal order O0")
+    frame = Ideal(lat, left=o0)
+    frame.nrd()  # an integral ideal of square index, as every frame is
+    return Node(frame=frame)
 
 
 def extend_node(node: Node, k_ideal: Ideal) -> tuple[Node, "Mor"]:
@@ -62,8 +89,13 @@ def extend_node(node: Node, k_ideal: Ideal) -> tuple[Node, "Mor"]:
     if k_ideal.left_order() != node.order:
         raise ValueError("K must be a left ideal of the node's order")
     frame = multiply_ideals(node.frame, k_ideal)
-    new = Node(order=k_ideal.right_order(), frame=frame)
+    frame._right = k_ideal.right_order()
+    new = Node(frame=frame)
     return new, Mor(node, new, node.alg.one())
+
+
+class LatticeConditionError(ValueError):
+    """A quaternion fails a morphism's lattice condition frame(dst)*elem <= frame(src)."""
 
 
 def hom_lattice(src: Node, dst: Node) -> Lattice4:
@@ -95,7 +127,8 @@ class Mor:
     def __post_init__(self, _derived):
         if not _derived and not self.elem.is_zero():
             if not self.src.frame.lattice.contains_rmul(self.dst.frame.lattice, self.elem):
-                raise ValueError("lattice condition frame(dst)*elem <= frame(src) fails")
+                raise LatticeConditionError(
+                    "lattice condition frame(dst)*elem <= frame(src) fails")
 
     @property
     def alg(self) -> QuatAlgebra:
@@ -165,6 +198,25 @@ def kernel_ideal(f: Mor) -> Ideal:
     lat = f.src.frame.lattice.conjugate().mul(f.dst.frame.lattice.rmul_q(f.elem))
     lat = lat.scale(Fraction(1, f.src.frame_norm()))
     return Ideal(lat, left=f.src.order, nrd=f.degree())
+
+
+def kernel_ideal_equals(f: Mor, lat: Lattice4) -> bool:
+    """Whether kernel_ideal(f) = lat, with no HNF.
+
+    conj(frame(src)) and frame(dst) are invertible and meet in O0, so
+    kernel_ideal(f) has reduced norm deg(f) and left order O(src), which is
+    maximal: its covolume is deg(f)^2/4.  It lies in lat when its 16
+    generators conj(x)*y*elem/Nrd(frame(src)), x and y rows of the frames,
+    do; with equal covolumes it is then lat.  The zero morphism has no
+    kernel ideal and equals no lattice.
+    """
+    if f.is_zero() or 4 * abs(lat.det()) != f.degree() ** 2:
+        return False
+    p, b = f.alg.p, f.elem
+    src, dst = f.src.frame.lattice, f.dst.frame.lattice
+    gens = [qmul(y, b.num, p) for y in dst.mat]
+    rows = [qmul((x[0], -x[1], -x[2], -x[3]), g, p) for x in src.mat for g in gens]
+    return lat._contains_rows(rows, src.den * dst.den * b.den * f.src.frame_norm())
 
 
 @dataclass(frozen=True)
@@ -276,6 +328,8 @@ class Certificate:
     d21: int
 
     def verify(self, o2: Order) -> bool:
+        if self.xi11.is_zero() or self.xi21.is_zero():
+            return False  # O2*0 is no lattice, so neither identity can hold
         xi = self.xi11 * self.d21 - self.xi21 * self.d11
         if xi.reduced_norm() != self.d11 * self.d21 * self.i_psi.nrd():
             return False

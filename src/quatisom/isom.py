@@ -21,8 +21,8 @@ from math import gcd, isqrt
 
 from .division import principal_ideal_divide
 from .homframe import (Certificate, Mor, Mor2x2, VerificationError,  # noqa: F401 (re-exported)
-                       _check, base_node, dual, extend_node, kani_degree, mat_compose,
-                       node_from_ideal, swap_rows, transpose)
+                       _check, base_node, dual, extend_node, kani_degree,
+                       kernel_ideal_equals, mat_compose, node_from_ideal, swap_rows, transpose)
 from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
 from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, multiply_ideals,
@@ -442,6 +442,39 @@ def _realign_column_ideal(x: Ideal, o_tgt: Order) -> list[Ideal]:
             if aligned not in out:
                 out.append(aligned)
     return out
+
+
+def verify_certificate(cert: Certificate, matrix: Mor2x2) -> QuadrupleReport:
+    """Decide a certificate from its own isomorphism matrix, with no search.
+
+    Accepts exactly when the matrix has Kani degree 1, its kernel ideals are
+    the certificate's (with b11 = m11.elem and b21 = m21.elem):
+    ker(m11) = I11, ker(m21) = I21, ker(dual(m12)) = b11*conj(I12)*b11^-1
+    and ker(dual(m22)) = b21*conj(I22)*b21^-1, and the certificate's own
+    identities hold over O2 = O(m12.src).  The entries' lattice conditions
+    hold by construction: `Mor` checks them, and `matrix_from_json` raises
+    LatticeConditionError for an entry that fails.
+    """
+    if kani_degree(matrix) != 1:
+        return QuadrupleReport(False, "the matrix does not have Kani degree 1")
+    m11, m12, m21, m22 = matrix.entries()
+    b11, b21 = m11.elem, m21.elem
+    for label, mor, stated, b, name in (
+            ("m11", m11, cert.i11, None, "I11"),
+            ("m21", m21, cert.i21, None, "I21"),
+            ("dual(m12)", dual(m12), cert.i12, b11, "b11*conj(I12)*b11^-1"),
+            ("dual(m22)", dual(m22), cert.i22, b21, "b21*conj(I22)*b21^-1")):
+        lat = stated.lattice
+        if b is not None:
+            # b is nonzero: m11 and m21 have kernel ideals I11 and I21
+            lat = lat.conjugate()
+            if b != b.alg.one():
+                lat = lat.lmul_q(b).rmul_q(b.inverse())
+        if not kernel_ideal_equals(mor, lat):
+            return QuadrupleReport(False, f"the kernel ideal of {label} differs from {name}")
+    if not cert.verify(m12.src.order):
+        return QuadrupleReport(False, "the certificate identities do not hold")
+    return QuadrupleReport(True, "isomorphism witnessed")
 
 
 def verify_ideal_quadruple(i11: Ideal, i21: Ideal, i12: Ideal, i22: Ideal) -> QuadrupleReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .homframe import Certificate, Mor, Mor2x2
+from .homframe import Certificate, LatticeConditionError, Mor, Mor2x2, node_from_frame
 from .orders import Ideal, Lattice4, standard_extremal_order
 from .quat import QuatAlgebra, Quaternion
 
@@ -41,9 +41,11 @@ def ideal_from_json(data, alg: QuatAlgebra | None = None) -> Ideal:
         alg = QuatAlgebra(p)
     elif alg.p != p:
         raise ValueError("algebra mismatch in ideal encoding")
-    rows = [[int(v) for v in row] for row in data["basis"]]
-    lat = Lattice4(alg, rows, int(data["denominator"]))
-    ideal = Ideal(lat)
+    lat = _lattice_from_json(alg, data)
+    # O0*L <= L puts the maximal order O0 inside O_L(L), so O_L(L) = O0 with
+    # no HNF; other lattices get their left order from `Ideal.nrd`
+    o0 = standard_extremal_order(alg)
+    ideal = Ideal(lat, left=o0 if lat.contains_product(o0.lattice, lat) else None)
     if "nrd" in data and ideal.nrd() != int(data["nrd"]):
         raise ValueError("stored reduced norm does not match the lattice")
     return ideal
@@ -69,15 +71,17 @@ def mor_to_json(m: Mor) -> dict:
     }
 
 
-def mor_from_json(alg: QuatAlgebra, data) -> Mor:
-    from .homframe import node_from_ideal, base_node
+def mor_from_json(alg: QuatAlgebra, data, nodes: dict | None = None) -> Mor:
+    """The morphism of `mor_to_json`.  Each frame must be a left O0-ideal
+    (`node_from_frame`); `nodes` maps each frame lattice already read to its
+    node, so a matrix builds one node per distinct frame."""
+    nodes = {} if nodes is None else nodes
 
     def node_of(lat_data):
         lat = _lattice_from_json(alg, lat_data)
-        o0 = standard_extremal_order(alg)
-        if lat == o0.lattice:
-            return base_node(alg)
-        return node_from_ideal(Ideal(lat, left=o0))
+        if lat not in nodes:
+            nodes[lat] = node_from_frame(lat)
+        return nodes[lat]
 
     return Mor(node_of(data["src_frame"]), node_of(data["dst_frame"]),
                quaternion_from_json(alg, data["elem"]))
@@ -89,8 +93,15 @@ def matrix_to_json(mat: Mor2x2) -> dict:
 
 
 def matrix_from_json(alg: QuatAlgebra, data) -> Mor2x2:
-    return Mor2x2(**{key: mor_from_json(alg, data[key]) for key in
-                     ("m11", "m12", "m21", "m22")})
+    """The matrix of `matrix_to_json`.  An entry that fails its lattice
+    condition raises LatticeConditionError naming the entry."""
+    nodes, entries = {}, {}
+    for key in ("m11", "m12", "m21", "m22"):
+        try:
+            entries[key] = mor_from_json(alg, data[key], nodes)
+        except LatticeConditionError as err:
+            raise LatticeConditionError(f"{key}: {err}") from None
+    return Mor2x2(**entries)
 
 
 def certificate_to_json(cert: Certificate, matrix: Mor2x2 | None = None) -> dict:

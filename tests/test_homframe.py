@@ -12,7 +12,7 @@ from quatisom import (Mor, Mor2x2, base_node, compose, dual, extend_node, hom_la
                       low_discriminant_isomorphism, make_automorphism, mat_compose,
                       node_from_ideal, random_left_ideal, transpose)
 from quatisom.homframe import (VerificationError, add_mor, identity_mor, is_scalar_matrix,
-                               zero_mor)
+                               kernel_ideal_equals, node_from_frame, scalar_mul, zero_mor)
 
 
 def random_nodes(o0, rng, count=3, ell=3, m=3):
@@ -104,6 +104,34 @@ def test_kernel_ideal_properties(o0_103):
         assert ki.is_integral()
     with pytest.raises(ValueError):
         kernel_ideal(zero_mor(nodes[0], nodes[1]))
+
+
+def test_kernel_ideal_equals_matches_kernel_ideal(o0_103):
+    # the containment-and-covolume test agrees with the HNF of the kernel ideal
+    rng = random.Random(67)
+    nodes = random_nodes(o0_103, rng)
+    for _ in range(30):
+        f = random_mor(nodes[rng.randrange(3)], nodes[rng.randrange(3)], rng)
+        g = random_mor(f.src, f.dst, rng)
+        ki, kg = kernel_ideal(f).lattice, kernel_ideal(g).lattice
+        assert kernel_ideal_equals(f, ki)
+        assert kernel_ideal_equals(f, kg) == (ki == kg)
+        # a sublattice of the kernel ideal, and the kernel ideal scaled up
+        assert not kernel_ideal_equals(f, ki.scale(2))
+        assert not kernel_ideal_equals(scalar_mul(2, f), ki)
+    assert not kernel_ideal_equals(zero_mor(nodes[0], nodes[1]), o0_103.lattice)
+
+
+def test_node_from_frame(o0_103, alg103):
+    rng = random.Random(68)
+    ideal = random_left_ideal(o0_103, 3, 4, rng)
+    node = node_from_frame(ideal.lattice)
+    assert node == node_from_ideal(ideal) and node.frame_norm() == 81
+    assert node.order == ideal.right_order()
+    assert node_from_frame(o0_103.lattice) == base_node(alg103)
+    # g*O0 with g = 1 + i + j is a right O0-ideal, not a left one
+    with pytest.raises(ValueError, match="left ideal of the extremal order"):
+        node_from_frame(o0_103.lattice.lmul_q(alg103.quaternion(1, 1, 1, 0)))
 
 
 def test_kani_identity_matrix(o0_103):
