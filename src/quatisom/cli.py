@@ -10,7 +10,7 @@ the generator and unit-twist search of `isom.verify_ideal_quadruple`.
 Exit codes: 0 verified success, 1 verification failure (a witness that
 parses but fails a check, named in the verdict's reason), 2 algorithmic
 failure (budget exhausted), 3 invalid input (including a frame that is not
-a left O0-ideal).
+a left O0-ideal, and a usage error such as an unknown command or flag).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import random
 import sys
 
-from .homframe import LatticeConditionError, base_node, kani_degree, node_from_ideal
+from .homframe import LatticeConditionError, base_node, node_from_ideal
 from .isom import (CompletionPreconditionError, QuadrupleReport, VerificationError,
                    isom_g_products, isom_two_products, isomorphism_E0, isomorphism_completion,
                    low_discriminant_isomorphism, sum_kernel_ideal, verify_certificate,
@@ -66,10 +66,11 @@ def cmd_gen(args) -> int:
     alg = _algebra(args)
     if args.ell == alg.p or args.ell == 2 or not is_prime(args.ell):
         raise InputError("--ell must be an odd prime different from p")
+    if args.g < 2:
+        raise InputError("g must be at least 2")
     o0 = standard_extremal_order(alg)
     rng = random.Random(args.seed)
-    count = max(2 * args.g, 2)
-    ideals = [random_left_ideal(o0, args.ell, args.m, rng) for _ in range(count)]
+    ideals = [random_left_ideal(o0, args.ell, args.m, rng) for _ in range(2 * args.g)]
     payload = {
         "p": str(alg.p),
         "ell": str(args.ell),
@@ -90,14 +91,13 @@ def _instance_ideals(alg, data, need: int) -> list[Ideal]:
 
 
 def _emit_result(args, alg, matrix, certificate=None) -> int:
-    if certificate is not None:
-        if not verify_certificate(certificate, matrix).ok:
-            return EXIT_VERIFY_FAILED
-        payload = certificate_to_json(certificate, matrix)
-    elif kani_degree(matrix) != 1:
-        return EXIT_VERIFY_FAILED
-    else:
+    # pipelines check the Kani degree; this is the check of a certificate's kernel ideals
+    if certificate is None:
         payload = {"p": str(alg.p), "matrix": matrix_to_json(matrix)}
+    elif verify_certificate(certificate, matrix).ok:
+        payload = certificate_to_json(certificate, matrix)
+    else:
+        return EXIT_VERIFY_FAILED
     _write(args.out, payload)
     return EXIT_OK
 
@@ -211,7 +211,7 @@ def _run_one(func, args) -> int:
     except (SamplingBudgetError, CompletionPreconditionError) as err:
         print(f"algorithm failed: {err}", file=sys.stderr)
         return EXIT_ALGORITHM_FAILED
-    except ArithmeticError as err:  # NotDivisibleError and other arithmetic faults
+    except ArithmeticError as err:  # an internal arithmetic fault
         print(f"algorithm failed: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_ALGORITHM_FAILED
     except VerificationError as err:
@@ -236,29 +236,29 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
 
-    for name, func, extra in (
+    seeded = ("--seed", "--trials")  # only the randomized pipelines draw numbers
+    for name, func, flags in (
         ("complete", cmd_complete, ()),
-        ("lowdisc", cmd_lowdisc, ("ell",)),
-        ("isom-e0", cmd_isom_e0, ()),
-        ("isom2", cmd_isom2, ()),
-        ("isom-g", cmd_isom_g, ("g",)),
+        ("lowdisc", cmd_lowdisc, (*seeded, "--ell")),
+        ("isom-e0", cmd_isom_e0, seeded),
+        ("isom2", cmd_isom2, seeded),
+        ("isom-g", cmd_isom_g, (*seeded, "--g")),
         ("verify", cmd_verify, ()),
     ):
         cmd = sub.add_parser(name)
         cmd.add_argument("--in", dest="infile", required=True)
         cmd.add_argument("--out", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--trials", type=int, default=1)
-        if "ell" in extra:
-            cmd.add_argument("--ell", type=int, default=None)
-        if "g" in extra:
-            cmd.add_argument("--g", type=int, default=None)
+        for flag in flags:
+            cmd.add_argument(flag, type=int, default=1 if flag == "--trials" else None)
         cmd.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # 0 after --help; a usage error, usage on stderr, is bad input
+        return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
 
     trials = getattr(args, "trials", 1)
     if trials <= 1:

@@ -7,6 +7,9 @@ lattice with I*J = O1*mu is J = conj(I)*mu/Nrd(I).  Neither formula needs J
 to exist: each result is checked to be integral (J <= O2, where O2 should
 be O_R(I)) and to satisfy the product identity, and NotDivisibleError is
 raised otherwise.
+
+No pipeline calls it: completion builds its divisors in closed form and its
+certificate check proves them; the tests use this module as the reference.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
-from .division import principal_ideal_divide
 from .homframe import (Certificate, Mor, Mor2x2, VerificationError,  # noqa: F401 (re-exported)
                        _check, base_node, dual, extend_node, kani_degree,
                        kernel_ideal_equals, mat_compose, node_from_ideal, swap_rows, transpose)
@@ -33,6 +32,9 @@ from .quat import Quaternion, is_prime
 class CompletionPreconditionError(RuntimeError):
     """The principal-generator search failed: the target is not isomorphic
     to the quotient by the direct sum of the kernels."""
+
+
+_LOWDISC_ATTEMPTS = 6  # budget failures a low-discriminant run retries
 
 
 @dataclass
@@ -151,23 +153,6 @@ def _bezout_split(d11: int, d21: int) -> tuple[int, int]:
     return u, v
 
 
-def _split_xi(j11: Ideal, j21: Ideal, d11: int, d21: int, xi: Quaternion):
-    """xi11 = u*xi in J11 and xi21 = v*xi in J21, with d21*xi11 - d11*xi21 = xi.
-
-    I11 contains d11*O1 and I21 lies in O1, so J11 = conj(I_psi)*I11 contains
-    d11*conj(I_psi), which contains d11*J21; likewise d21*J11 <= J21.  Hence
-    xi in d21*J11 + d11*J21 lies in J11 and in J21, and (u, v) from
-    `_bezout_split` splits it.  Nrd(xi11) = u^2*Nrd(xi) stays small because
-    u <= 2*d11.
-    """
-    u, v = _bezout_split(d11, d21)
-    xi11, xi21 = xi * u, xi * v
-    _check(xi11 * d21 - xi21 * d11 == xi, "the split of xi does not sum to xi")
-    _check(j11.lattice.contains(xi11) and j21.lattice.contains(xi21),
-           "the split of xi leaves J11 or J21")
-    return xi11, xi21
-
-
 def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
                            generators: tuple[Quaternion, Quaternion, Quaternion] | None = None
                            ) -> CompletionResult:
@@ -178,7 +163,9 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     O2, realized by s = Nrd(F1).  With J11 = conj(I_psi)*I11 and
     J21 = conj(I_psi)*I21, the target is isomorphic to the quotient by
     ker + ker exactly when jk = d21*J11 + d11*J21 = O2*xi is principal.  xi
-    splits in closed form (`_split_xi`); principal division gives the rest.
+    splits as d21*(u*xi) - d11*(v*xi), and I12 = conj(xi11)*J11/Nrd(J11) (resp.
+    21/22) in closed form.  `Certificate.verify` alone checks the split and
+    the division identities, before the entries are built.
 
     The unknowns b11, b21, xi generate principal ideals: frame(n1p)*b11 =
     frame(n1)*I11, frame(n2p)*b21 = frame(n1)*I21 and O2*xi = jk.  Pipelines
@@ -232,7 +219,19 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     else:
         xi = _known_generator(o2.lattice, o2, jk, generators[2])
 
-    xi11, xi21 = _split_xi(j11, j21, d11, d21, xi)
+    # d21*J11 <= J21 and d11*J21 <= J11, so xi lies in J11 and in J21
+    u, v = _bezout_split(d11, d21)
+    _check(u * d21 - v * d11 == 1 and u != 0 and v != 0,
+           "the Bezout pair does not split xi into two nonzero parts")
+    xi11, xi21 = xi * u, xi * v
+    # I12 = conj(W) for the divisor W = conj(J11)*xi11/Nrd(J11) of O2*xi11 = J11*W
+    i12 = Ideal(j11.lattice.lmul_q(xi11.conjugate() / j11.nrd()), right=i11.right_order())
+    i22 = Ideal(j21.lattice.lmul_q(xi21.conjugate() / j21.nrd()), right=i21.right_order())
+    cert = Certificate(i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
+                       xi11=xi11, xi21=xi21, d11=d11, d21=d21)
+    # xi11 in J11 makes W integral; the check proves it and both identities
+    _check(cert.verify(o2), "the completion certificate does not verify")
+
     # I_psi is realized by the scalar s = Nrd(F1): b12 = b11*conj(s)*conj(xi11)/(d11*Nrd(s))
     f1 = n1.frame_norm()
     b12 = b11 * xi11.conjugate() / (d11 * f1)
@@ -240,25 +239,19 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     mat = Mor2x2(m11=Mor(n1, n1p, b11), m12=Mor(n2, n1p, b12),
                  m21=Mor(n1, n2p, b21), m22=Mor(n2, n2p, b22))
     _check(kani_degree(mat) == 1, "completion assembled a non-isomorphism")
-
-    # the divisor W is a left O_R(I11)-ideal; certificates carry I12 = conj(W)
-    i12 = principal_ideal_divide(o2, i11.right_order(), xi11, j11).conjugate()
-    i22 = principal_ideal_divide(o2, i21.right_order(), xi21, j21).conjugate()
-    cert = Certificate(i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
-                       xi11=xi11, xi21=xi21, d11=d11, d21=d21)
-    _check(cert.verify(o2), "the completion certificate does not verify")
     return CompletionResult(matrix=mat, certificate=cert)
 
 
-def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None,
-                                 *, attempts: int = 6) -> CompletionResult:
+def low_discriminant_isomorphism(n1p, ell: int,
+                                 rng: random.Random | None = None) -> CompletionResult:
     """Isomorphism E0^2 -> E1' x E0 through the low-discriminant subring of O0.
 
     Computes an equivalent l-power-norm ideal I11 = F*conj(beta)/Nrd(F) for
     the frame F of n1p, a norm-l^m element alpha, a local generator x, and
     completes the column (I11, O0*x) from its generators conj(beta)/Nrd(F),
     x and alpha*x: alpha*x lies in I11 with norm d11*d21, so jk = O0*alpha*x.
-    Completion then has no search to fail; only budget failures are retried.
+    Completion then has no search to fail; only budget failures are retried
+    (`_LOWDISC_ATTEMPTS` times, as is the draw of an l-primitive alpha).
     """
     rng = rng or random.Random(0)
     alg = n1p.alg
@@ -267,7 +260,7 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
     o0 = standard_extremal_order(alg)
     base = base_node(alg)
     last: Exception | None = None
-    for attempt in range(attempts):
+    for attempt in range(_LOWDISC_ATTEMPTS):
         try:
             i11, beta = equivalent_power_norm_ideal(n1p.frame, ell, rng,
                                                     force_rebuild=attempt > 0)
@@ -275,7 +268,7 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
             while t % ell == 0:
                 t //= ell
                 m += 1
-            for _ in range(attempts):
+            for _ in range(_LOWDISC_ATTEMPTS):
                 alpha = represent_integer(o0, ell ** m, rng)
                 if m == 0 or not o0.lattice.scale(ell).contains(alpha):
                     break
@@ -291,16 +284,17 @@ def low_discriminant_isomorphism(n1p, ell: int, rng: random.Random | None = None
     raise SamplingBudgetError(f"low_discriminant_isomorphism failed: {last}")
 
 
-def isomorphism_E0(n1, n2, rng: random.Random | None = None, *,
-                   ell1: int = 3, ell2: int = 5, ell_low: int = 7) -> Mor2x2:
+def isomorphism_E0(n1, n2, rng: random.Random | None = None) -> Mor2x2:
     """Isomorphism E0^2 -> E1 x E2 for arbitrary nodes (Algorithm of the
     general case): completion of coprime-norm columns, then the
     low-discriminant isomorphism for the quotient node, composed with the
-    coordinate swap."""
+    coordinate swap.  The columns have norms 3^e and 5^f, and the
+    low-discriminant step uses l = 7."""
     rng = rng or random.Random(0)
     alg = n1.alg
-    if len({ell1, ell2, ell_low, alg.p}) != 4:
-        raise ValueError("the three primes and p must be pairwise distinct")
+    ell1, ell2, ell_low = 3, 5, 7
+    if alg.p in (ell1, ell2, ell_low):
+        raise ValueError("p must differ from the primes 3, 5 and 7 of the pipeline")
     base = base_node(alg)
     i1, beta1 = equivalent_power_norm_ideal(n1.frame, ell1, rng)
     i2, beta2 = equivalent_power_norm_ideal(n2.frame, ell2, rng)
@@ -327,12 +321,12 @@ def isom_two_products(n1, n2, n1p, n2p, rng: random.Random | None = None) -> Mor
     return out
 
 
-def swap_with_E0(n1, n2, rng: random.Random | None = None, *, ell: int = 3) -> Mor2x2:
+def swap_with_E0(n1, n2, rng: random.Random | None = None) -> Mor2x2:
     """Isomorphism E1 x E0 -> E2 x E0 by running the low-discriminant
-    algorithm twice and transposing the first factor."""
+    algorithm (l = 3) twice and transposing the first factor."""
     rng = rng or random.Random(0)
-    xi1 = low_discriminant_isomorphism(n1, ell, rng).matrix  # E0^2 -> E1 x E0
-    xi2 = low_discriminant_isomorphism(n2, ell, rng).matrix  # E0^2 -> E2 x E0
+    xi1 = low_discriminant_isomorphism(n1, 3, rng).matrix  # E0^2 -> E1 x E0
+    xi2 = low_discriminant_isomorphism(n2, 3, rng).matrix  # E0^2 -> E2 x E0
     out = mat_compose(xi2, transpose(xi1))
     _check(kani_degree(out) == 1, "the composed matrix is not an isomorphism")
     return out
@@ -360,13 +354,12 @@ def isom_g_products(sources, targets, rng: random.Random | None = None) -> list[
     if g == 2:
         chain = [(0, isom_two_products(sources[0], sources[1], targets[0], targets[1], rng))]
     else:
-        ell = 3
-        first = mat_compose(low_discriminant_isomorphism(targets[0], ell, rng).matrix,
+        first = mat_compose(low_discriminant_isomorphism(targets[0], 3, rng).matrix,
                             transpose(isomorphism_E0(sources[0], sources[1], rng)))
         # swap_with_E0(t, s): t x E0 -> s x E0; rows swapped and transposed: E0 x s -> t x E0
-        middle = [transpose(swap_rows(swap_with_E0(targets[i], sources[i + 1], rng, ell=ell)))
+        middle = [transpose(swap_rows(swap_with_E0(targets[i], sources[i + 1], rng)))
                   for i in range(1, g - 2)]
-        into_e0 = transpose(swap_rows(low_discriminant_isomorphism(sources[-1], ell, rng).matrix))
+        into_e0 = transpose(swap_rows(low_discriminant_isomorphism(sources[-1], 3, rng).matrix))
         last = mat_compose(isomorphism_E0(targets[-2], targets[-1], rng), into_e0)
         chain = list(enumerate([first, *middle, last]))
     current = list(sources)

@@ -376,15 +376,15 @@ def _small_elements(ideal: Ideal):
             yield Quaternion(lat.alg, vec, lat.den)
 
 
-def _equivalent_prime_norms(ideal: Ideal, avoid: tuple[int, ...], *, count: int = 4000):
+def _equivalent_prime_norms(ideal: Ideal, avoid: tuple[int, ...]):
     """Equivalent left O0-ideals of odd prime norm N avoiding given primes,
-    one for each new N, in the order of one sweep over `count` small elements.
+    one for each new N, in the order of one sweep over 4000 small elements.
 
     Yields (J', delta, N) with J' = I*conj(delta)/Nrd(I).
     """
     n_i = ideal.nrd()
     seen = set(avoid)  # -delta gives the same N
-    for delta in islice(_small_elements(ideal), count):
+    for delta in islice(_small_elements(ideal), 4000):
         nd = delta.reduced_norm()
         n = int(nd) // n_i
         if n <= 2 or n in seen or not is_prime(n):
@@ -418,13 +418,12 @@ def _mod_constraint(j_prime: Ideal, gamma: Quaternion, n: int) -> tuple[int, int
 
 
 def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | None = None,
-                                *, max_rounds: int = 8,
-                                force_rebuild: bool = False) -> tuple[Ideal, Quaternion]:
+                                *, force_rebuild: bool = False) -> tuple[Ideal, Quaternion]:
     """Equivalent left O0-ideal of norm l^e, with the witness beta in I.
 
     Returns (J, beta) with J = I*conj(beta)/Nrd(I), Nrd(beta) = Nrd(I)*l^e,
     O_L(J) = O0 and J not divisible by l.  KLPT for the special order: each
-    of at most max_rounds rounds takes its own prime norm N, so an N that is
+    of at most 8 rounds takes its own prime norm N, so an N that is
     obstructed for every gamma costs one round.
     With force_rebuild an input that already has l-power norm is still
     replaced (used when a larger exponent is needed downstream).
@@ -450,12 +449,12 @@ def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | Non
         return Ideal(ideal.lattice, left=o0, nrd=n_i), beta
 
     last_error: Exception | None = None
-    for j_prime, delta, n in islice(_equivalent_prime_norms(ideal, (2, p, ell)), max_rounds):
+    for j_prime, delta, n in islice(_equivalent_prime_norms(ideal, (2, p, ell)), 8):
         try:
             return _klpt_special(ideal, ell, rng, j_prime, delta, n)
         except SamplingBudgetError as err:
             last_error = err
-    raise SamplingBudgetError(f"equivalent_power_norm_ideal failed in at most {max_rounds} "
+    raise SamplingBudgetError("equivalent_power_norm_ideal failed in at most 8 "
                               f"KLPT rounds, one per prime norm N: {last_error}")
 
 

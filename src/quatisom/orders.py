@@ -224,8 +224,9 @@ class Lattice4:
 def _lattice_mul(a: Lattice4, b: Lattice4) -> Lattice4:
     """a*b from the 16 products of basis rows, memoized by value.
 
-    A completion builds J11, J21 and the two J*W products, and its
-    certificate check builds the same four again; the few most recent
+    A completion builds J11 and J21, and its certificate check builds them
+    again with the two J*W products, which only that check builds; the CLI's
+    certificate check then builds all four once more.  The few most recent
     products are kept so each is reduced once.  Lattices are immutable, so
     a kept result can be shared.
     """

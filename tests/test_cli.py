@@ -5,6 +5,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import quatisom
 from quatisom.cli import main
 
@@ -110,6 +112,10 @@ def test_isom_g_bad_g_is_input_error(tmp_path, capsys):
                         "--out", str(tmp_path / "chain.json")]) == 3
         assert "invalid input" in capsys.readouterr().err
     assert not (tmp_path / "chain.json").exists()
+    # gen rejects the same g, so it writes no instance that isom-g refuses
+    for g in ("0", "-1"):
+        assert run_cli(["gen", "--p", "103", "--g", g, "--out", str(tmp_path / "g.json")]) == 3
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_isom_e0_flow(tmp_path):
@@ -138,17 +144,29 @@ def test_arithmetic_error_is_algorithm_failure(tmp_path, monkeypatch, capsys):
     from quatisom.division import NotDivisibleError
 
     def fail(*args, **kwargs):
-        raise NotDivisibleError("patched division failure")
+        raise NotDivisibleError("patched local generator failure")
 
     inst = tmp_path / "inst.json"
     assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "4", "--seed", "4",
                     "--out", str(inst)]) == 0
-    monkeypatch.setattr(isom, "principal_ideal_divide", fail)
+    monkeypatch.setattr(isom, "local_generator", fail)
     capsys.readouterr()
     assert run_cli(["lowdisc", "--in", str(inst), "--seed", "1",
                     "--out", str(tmp_path / "cert.json")]) == 2
     err = capsys.readouterr().err
-    assert "algorithm failed: NotDivisibleError: patched division failure" in err
+    assert "algorithm failed: NotDivisibleError: patched local generator failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],                                   # no --in
+    ["frobnicate"],                               # no such command
+    ["lowdisc", "--in", "x.json", "--seed", "abc"],
+    ["complete", "--in", "x.json", "--seed", "1"],  # complete draws no random numbers
+    ["verify", "--in", "x.json", "--trials", "2"],
+])
+def test_usage_error_is_input_error(argv, capsys):
+    assert run_cli(argv) == 3
+    assert "usage: quatisom" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error():

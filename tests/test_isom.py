@@ -16,8 +16,9 @@ from quatisom import (CompletionPreconditionError, QuatAlgebra, SamplingBudgetEr
                       isom_g_products, isom_two_products, isomorphism_E0,
                       isomorphism_completion, kani_degree, kernel_ideal, local_generator,
                       low_discriminant_isomorphism, node_from_ideal, principal_ideal,
-                      random_left_ideal, represent_integer, standard_extremal_order,
-                      sum_kernel_ideal, swap_with_E0, verify_ideal_quadruple)
+                      principal_ideal_divide, random_left_ideal, represent_integer,
+                      standard_extremal_order, sum_kernel_ideal, swap_with_E0,
+                      verify_ideal_quadruple)
 from quatisom import isom, orders
 from quatisom.homframe import transpose, mat_compose
 from quatisom.isom import (_bezout_split, _canonical_generator, _principal_generator,
@@ -379,7 +380,7 @@ def test_isom_g_products_checks_its_chain(monkeypatch, o0_103):
     nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(8)]
     swap = isom.swap_with_E0
     monkeypatch.setattr(isom, "swap_with_E0",
-                        lambda n1, n2, rng, ell: swap(n2, n1, rng, ell=ell))
+                        lambda n1, n2, rng: swap(n2, n1, rng))
     with pytest.raises(VerificationError, match="current coordinates"):
         isom_g_products(nodes[:4], nodes[4:], rng)
 
@@ -446,9 +447,13 @@ sys.exit(1)
 
 
 @pytest.mark.parametrize("pair, message", [
-    ("lambda d11, d21: (1, 1)", "does not sum to xi"),
-    ("lambda d11, d21: (Fraction(1, d21), 0)", "leaves J11 or J21"),
-])
+    # rejected by the integer check of the pair, before a zero xi21 is used
+    ("lambda d11, d21: (1, 1)", "does not split xi"),
+    ("lambda d11, d21: (Fraction(1, d21), 0)", "does not split xi"),
+    # a valid Bezout identity whose xi11 leaves J11: only the certificate
+    # check, run before the entries are built, rejects it
+    ("lambda d11, d21: (Fraction(1 + d11, d21), 1)", "certificate does not verify"),
+], ids=["wrong-sum", "zero-v", "xi11-outside-J11"])
 def test_split_checks_survive_python_O(pair, message):
     env = dict(os.environ, PYTHONPATH=str(Path(quatisom.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", _PATCHED_SPLIT_SCRIPT, pair],
@@ -496,8 +501,10 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     # completion, division, orders and norms are closed form: no pipeline may
     # reach HNF with transform, the integer kernel or system solver, a
     # lattice intersection or any shortest-vector search (the pipelines hold
-    # all three generators of a completion), and a completion reduces at most four 16-row
-    # products: J11, J21 and the two division identities
+    # all three generators of a completion), and no pipeline divides through the
+    # division module.  A completion reduces at most four 16-row products (J11,
+    # J21 and the two division identities) and makes at most 17 HNF reductions
+    # in all, so a check that repeats the certificate's fails here
     rng = random.Random(94)
     nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(4)]
 
@@ -506,23 +513,26 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
 
     for name, module in list(sys.modules.items()):
         if name == "quatisom" or name.startswith("quatisom."):
-            for attr in ("hnf", "kernel_basis", "solve_integer", "_principal_generator"):
+            for attr in ("hnf", "kernel_basis", "solve_integer", "_principal_generator",
+                         "principal_ideal_divide", "integer_ideal_divide"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
     monkeypatch.setattr(Lattice4, "intersect", forbidden)
     monkeypatch.setattr(Lattice4, "min_nonzero_norm", forbidden)
 
-    counts, active = [], []
+    counts, totals, active = [], [], []
     hnf_rows, completion = orders.hnf_rows, isom.isomorphism_completion
 
     def counting_hnf_rows(mat):
-        if active and len(mat) == 16:
-            counts[-1] += 1
+        if active:
+            totals[-1] += 1
+            counts[-1] += len(mat) == 16
         return hnf_rows(mat)
 
     def counted_completion(*args, **kwargs):
         orders._lattice_mul.cache_clear()  # count every product the completion needs
         counts.append(0)
+        totals.append(0)
         active.append(True)
         try:
             return completion(*args, **kwargs)
@@ -539,6 +549,7 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     assert [kani_degree(mat) for _, mat in chain] == [1, 1]
     assert len(counts) == 1 + 2 + 4 + 6
     assert max(counts) <= 4, counts
+    assert max(totals) <= 17, totals
 
 
 def _pipeline_column(o0, rng):
@@ -600,6 +611,14 @@ def test_closed_form_xi_matches_search(monkeypatch, p):
         searched = isomorphism_completion(*args)
         assert given.certificate == searched.certificate
         assert given.matrix == searched.matrix
+        # I12 and I22 are the closed form of the reference division, conjugated
+        cert = given.certificate
+        psi_bar = cert.i_psi.conjugate()
+        for i_first, i_second, xi in ((cert.i11, cert.i12, cert.xi11),
+                                      (cert.i21, cert.i22, cert.xi21)):
+            j = multiply_ideals(psi_bar, i_first, check_compatible=False)
+            w = principal_ideal_divide(args[2].order, i_first.right_order(), xi, j)
+            assert i_second == w.conjugate()
 
 
 def test_completion_rejects_wrong_generator(o0_103, alg103):
