@@ -3,9 +3,11 @@ verification and worked-example replay, all through JSON files.
 
 `verify` reads two input formats.  A certificate that carries its matrix
 (as `complete` and `lowdisc` write it) is decided from that matrix with no
-search (`isom.verify_certificate`); `complete` and `lowdisc` run the same
-check before they write.  A file with the four ideals alone is decided by
-the generator and unit-twist search of `isom.verify_ideal_quadruple`.
+search (`isom.verify_certificate`).  `complete` and `lowdisc` compare the
+kernel ideals before they write; the Kani degree and the certificate
+identities the pipeline proved are not checked again.  A file with the
+four ideals alone is decided by the generator and unit-twist search of
+`isom.verify_ideal_quadruple`.
 
 Exit codes: 0 verified success, 1 verification failure (a witness that
 parses but fails a check, named in the verdict's reason), 2 algorithmic
@@ -24,8 +26,8 @@ import sys
 from .homframe import LatticeConditionError, base_node, node_from_ideal
 from .isom import (CompletionPreconditionError, QuadrupleReport, VerificationError,
                    isom_g_products, isom_two_products, isomorphism_E0, isomorphism_completion,
-                   low_discriminant_isomorphism, sum_kernel_ideal, verify_certificate,
-                   verify_ideal_quadruple)
+                   kernel_ideal_mismatch, low_discriminant_isomorphism, sum_kernel_ideal,
+                   verify_certificate, verify_ideal_quadruple)
 from .orders import Ideal, SamplingBudgetError, random_left_ideal, standard_extremal_order
 from .quat import QuatAlgebra, is_prime
 from .serialization import (certificate_from_json, certificate_to_json, dumps,
@@ -91,10 +93,11 @@ def _instance_ideals(alg, data, need: int) -> list[Ideal]:
 
 
 def _emit_result(args, alg, matrix, certificate=None) -> int:
-    # pipelines check the Kani degree; this is the check of a certificate's kernel ideals
+    # the pipelines prove the Kani degree and a certificate's identities;
+    # what is left of `verify_certificate` is the check of its kernel ideals
     if certificate is None:
         payload = {"p": str(alg.p), "matrix": matrix_to_json(matrix)}
-    elif verify_certificate(certificate, matrix).ok:
+    elif kernel_ideal_mismatch(certificate, matrix) is None:
         payload = certificate_to_json(certificate, matrix)
     else:
         return EXIT_VERIFY_FAILED

@@ -63,17 +63,19 @@ def node_from_ideal(ideal: Ideal) -> Node:
 def node_from_frame(lat: Lattice4) -> Node:
     """Node with frame lat, for a lattice read from outside the library.
 
-    O0*lat <= lat, tested on the 16 products of basis rows, puts O0 inside
-    O_L(lat); O0 is maximal, so O_L(lat) = O0 with no HNF.  Raises
-    ValueError when lat is not a left O0-ideal.  The node's order is left
-    to its first use: a lattice with a maximal left order is an invertible
-    ideal, whose right order is maximal too, and the certificate check
-    needs only one of a matrix's orders.
+    O0*lat <= lat (`Lattice4.is_left_o0_module`, 8 products with O0's ring
+    generators) puts O0 inside O_L(lat); O0 is maximal, so O_L(lat) = O0
+    with no HNF.  Raises ValueError when lat is not a left O0-ideal.  The
+    node's order is left to its first use: a lattice with a maximal left
+    order is an invertible ideal, whose right order is maximal too, and the
+    certificate check needs only one of a matrix's orders.  A certificate
+    file reaches this only for a frame whose encoding it has not read yet
+    (`serialization.certificate_from_json`).
     """
     o0 = standard_extremal_order(lat.alg)
     if lat == o0.lattice:
         return base_node(lat.alg)
-    if not lat.contains_product(o0.lattice, lat):
+    if not lat.is_left_o0_module():
         raise ValueError("a frame is not a left ideal of the extremal order O0")
     frame = Ideal(lat, left=o0)
     frame.nrd()  # an integral ideal of square index, as every frame is
@@ -333,7 +335,7 @@ class Certificate:
         xi = self.xi11 * self.d21 - self.xi21 * self.d11
         if xi.reduced_norm() != self.d11 * self.d21 * self.i_psi.nrd():
             return False
-        psi_bar = self.i_psi.lattice.conjugate()
+        psi_bar = self.i_psi.conjugate().lattice
         j11 = psi_bar.mul(self.i11.lattice)
         j21 = psi_bar.mul(self.i21.lattice)
         if not (j11.contains(self.xi11) and j21.contains(self.xi21)):

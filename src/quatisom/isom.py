@@ -437,19 +437,13 @@ def _realign_column_ideal(x: Ideal, o_tgt: Order) -> list[Ideal]:
     return out
 
 
-def verify_certificate(cert: Certificate, matrix: Mor2x2) -> QuadrupleReport:
-    """Decide a certificate from its own isomorphism matrix, with no search.
-
-    Accepts exactly when the matrix has Kani degree 1, its kernel ideals are
-    the certificate's (with b11 = m11.elem and b21 = m21.elem):
+def kernel_ideal_mismatch(cert: Certificate, matrix: Mor2x2) -> str | None:
+    """The reason when a kernel ideal of the matrix is not the certificate's,
+    else None.  With b11 = m11.elem and b21 = m21.elem the four are
     ker(m11) = I11, ker(m21) = I21, ker(dual(m12)) = b11*conj(I12)*b11^-1
-    and ker(dual(m22)) = b21*conj(I22)*b21^-1, and the certificate's own
-    identities hold over O2 = O(m12.src).  The entries' lattice conditions
-    hold by construction: `Mor` checks them, and `matrix_from_json` raises
-    LatticeConditionError for an entry that fails.
+    and ker(dual(m22)) = b21*conj(I22)*b21^-1, each compared with no HNF
+    (`kernel_ideal_equals`).
     """
-    if kani_degree(matrix) != 1:
-        return QuadrupleReport(False, "the matrix does not have Kani degree 1")
     m11, m12, m21, m22 = matrix.entries()
     b11, b21 = m11.elem, m21.elem
     for label, mor, stated, b, name in (
@@ -457,15 +451,33 @@ def verify_certificate(cert: Certificate, matrix: Mor2x2) -> QuadrupleReport:
             ("m21", m21, cert.i21, None, "I21"),
             ("dual(m12)", dual(m12), cert.i12, b11, "b11*conj(I12)*b11^-1"),
             ("dual(m22)", dual(m22), cert.i22, b21, "b21*conj(I22)*b21^-1")):
-        lat = stated.lattice
-        if b is not None:
+        if b is None:
+            lat = stated.lattice
+        else:
             # b is nonzero: m11 and m21 have kernel ideals I11 and I21
-            lat = lat.conjugate()
+            lat = stated.conjugate().lattice
             if b != b.alg.one():
                 lat = lat.lmul_q(b).rmul_q(b.inverse())
         if not kernel_ideal_equals(mor, lat):
-            return QuadrupleReport(False, f"the kernel ideal of {label} differs from {name}")
-    if not cert.verify(m12.src.order):
+            return f"the kernel ideal of {label} differs from {name}"
+    return None
+
+
+def verify_certificate(cert: Certificate, matrix: Mor2x2) -> QuadrupleReport:
+    """Decide a certificate from its own isomorphism matrix, with no search.
+
+    Accepts exactly when the matrix has Kani degree 1, its kernel ideals are
+    the certificate's (`kernel_ideal_mismatch`), and the certificate's own
+    identities hold over O2 = O(m12.src).  The entries' lattice conditions
+    hold by construction: `Mor` checks them, and `matrix_from_json` raises
+    LatticeConditionError for an entry that fails.
+    """
+    if kani_degree(matrix) != 1:
+        return QuadrupleReport(False, "the matrix does not have Kani degree 1")
+    reason = kernel_ideal_mismatch(cert, matrix)
+    if reason is not None:
+        return QuadrupleReport(False, reason)
+    if not cert.verify(matrix.m12.src.order):
         return QuadrupleReport(False, "the certificate identities do not hold")
     return QuadrupleReport(True, "isomorphism witnessed")
 

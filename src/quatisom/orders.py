@@ -154,6 +154,20 @@ class Lattice4:
         p = self.alg.p
         return self._contains_rows([qmul(x, y, p) for x in a.mat for y in b.mat], a.den * b.den)
 
+    def is_left_o0_module(self) -> bool:
+        """Whether O0*L <= L for the extremal order O0 = <1, i, (i+j)/2, (1+k)/2>,
+        tested on the 8 products g*x, x a basis row, of its ring generators
+        g = i and (i+j)/2.
+
+        {a : a*L <= L} is a ring with 1.  Once it holds i and (i+j)/2, it
+        holds i*(i+j)/2 = (i^2 + i*j)/2 = (k-1)/2, so (1+k)/2 as well, and
+        with 1, i and (i+j)/2 that is a Z-basis of O0.  So the 8 products
+        decide what the 16 products of O0's basis with L's decide.
+        """
+        p = self.alg.p
+        rows = [qmul(g, x, p) for g in ((0, 2, 0, 0), (0, 1, 1, 0)) for x in self.mat]
+        return self._contains_rows(rows, 2 * self.den)
+
     def add(self, other: "Lattice4") -> "Lattice4":
         d = lcm(self.den, other.den)
         rows = [[v * (d // self.den) for v in r] for r in self.mat]
@@ -225,10 +239,9 @@ def _lattice_mul(a: Lattice4, b: Lattice4) -> Lattice4:
     """a*b from the 16 products of basis rows, memoized by value.
 
     A completion builds J11 and J21, and its certificate check builds them
-    again with the two J*W products, which only that check builds; the CLI's
-    certificate check then builds all four once more.  The few most recent
-    products are kept so each is reduced once.  Lattices are immutable, so
-    a kept result can be shared.
+    again with the two J*W products, which only that check builds.  The few
+    most recent products are kept so each is reduced once.  Lattices are
+    immutable, so a kept result can be shared.
     """
     p = a.alg.p
     return Lattice4(a.alg, [qmul(x, y, p) for x in a.mat for y in b.mat], a.den * b.den)
@@ -379,9 +392,9 @@ def standard_extremal_order(alg: QuatAlgebra) -> Order:
 
 
 class Ideal:
-    """Integral ideal given by its lattice; orders and norm cached lazily."""
+    """Integral ideal given by its lattice; orders, norm and conjugate cached lazily."""
 
-    __slots__ = ("lattice", "_left", "_right", "_nrd")
+    __slots__ = ("lattice", "_left", "_right", "_nrd", "_conj")
 
     def __init__(self, lattice: Lattice4, *, left: Order | None = None,
                  right: Order | None = None, nrd: int | None = None):
@@ -389,6 +402,7 @@ class Ideal:
         self._left = left
         self._right = right
         self._nrd = nrd
+        self._conj = None
 
     @property
     def alg(self) -> QuatAlgebra:
@@ -435,7 +449,13 @@ class Ideal:
         return self.left_order().lattice.contains_lattice(self.lattice)
 
     def conjugate(self) -> "Ideal":
-        return Ideal(self.lattice.conjugate(), left=self._right, right=self._left, nrd=self._nrd)
+        """conj(I), reduced once and kept: its orders are I's swapped, and
+        its conjugate is I itself."""
+        if self._conj is None:
+            self._conj = Ideal(self.lattice.conjugate(), left=self._right, right=self._left,
+                               nrd=self._nrd)
+            self._conj._conj = self
+        return self._conj
 
     def scale(self, c) -> "Ideal":
         nrd = None

@@ -3,6 +3,8 @@ basis matrices over a denominator, morphisms by their frames and element,
 certificates per the documented schema.  All numbers are decimal strings so
 files carry no integer-width assumptions; serialization is canonical
 (lattices are already in Hermite normal form) and round-trips bit-exactly.
+A certificate file is read once: each distinct lattice encoding becomes one
+`Ideal`, shared by the ideals and frames that repeat it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .homframe import Certificate, LatticeConditionError, Mor, Mor2x2, node_from_frame
-from .orders import Ideal, Lattice4, standard_extremal_order
+from .homframe import Certificate, LatticeConditionError, Mor, Mor2x2, Node, node_from_frame
+from .orders import Ideal, Lattice4, Order, standard_extremal_order
 from .quat import QuatAlgebra, Quaternion
 
 
@@ -36,16 +38,44 @@ def ideal_to_json(ideal: Ideal) -> dict:
 
 
 def ideal_from_json(data, alg: QuatAlgebra | None = None) -> Ideal:
-    p = int(data["p"])
+    """The ideal of `ideal_to_json`.  A lattice with O0*L <= L
+    (`Lattice4.is_left_o0_module`) has left order O0, since O0 is maximal;
+    any other gets its left order from `Ideal.nrd`, which raises ValueError
+    when that order is not maximal.  A stored `nrd` must match."""
     if alg is None:
-        alg = QuatAlgebra(p)
-    elif alg.p != p:
+        alg = QuatAlgebra(int(data["p"]))
+    return _read_ideal(alg, data, {}, standard_extremal_order(alg))
+
+
+def _encoding(data) -> tuple:
+    """A lattice's JSON encoding (denominator and basis strings) as a key,
+    taken before any HNF: equal keys encode equal lattices."""
+    return data["denominator"], tuple(tuple(row) for row in data["basis"])
+
+
+def _read_ideal(alg: QuatAlgebra, data, seen: dict, order: Order) -> Ideal:
+    """The ideal encoded by `data`, one `Ideal` per distinct encoding in `seen`.
+
+    A lattice not seen before takes the maximal order `order` as its left
+    order when order*L <= L, since that containment is then equality
+    (8 products for O0, 16 for another order); otherwise `Ideal.nrd` builds
+    its left order.  O0 itself is `one_ideal()`, whose orders are O0.  The
+    algebra and the stored `nrd` are checked on every entry, seen or not.
+    """
+    if int(data["p"]) != alg.p:
         raise ValueError("algebra mismatch in ideal encoding")
-    lat = _lattice_from_json(alg, data)
-    # O0*L <= L puts the maximal order O0 inside O_L(L), so O_L(L) = O0 with
-    # no HNF; other lattices get their left order from `Ideal.nrd`
-    o0 = standard_extremal_order(alg)
-    ideal = Ideal(lat, left=o0 if lat.contains_product(o0.lattice, lat) else None)
+    key = _encoding(data)
+    ideal = seen.get(key)
+    if ideal is None:
+        lat = _lattice_from_json(alg, data)
+        o0 = standard_extremal_order(alg)
+        if lat == o0.lattice:
+            ideal = o0.one_ideal()
+        else:
+            acts = (lat.is_left_o0_module() if order is o0
+                    else lat.contains_product(order.lattice, lat))
+            ideal = Ideal(lat, left=order if acts else None)
+        seen[key] = ideal
     if "nrd" in data and ideal.nrd() != int(data["nrd"]):
         raise ValueError("stored reduced norm does not match the lattice")
     return ideal
@@ -71,19 +101,31 @@ def mor_to_json(m: Mor) -> dict:
     }
 
 
-def mor_from_json(alg: QuatAlgebra, data, nodes: dict | None = None) -> Mor:
-    """The morphism of `mor_to_json`.  Each frame must be a left O0-ideal
-    (`node_from_frame`); `nodes` maps each frame lattice already read to its
-    node, so a matrix builds one node per distinct frame."""
-    nodes = {} if nodes is None else nodes
+def _frame_node(alg: QuatAlgebra, data, frames: dict) -> Node:
+    """The node on the frame encoded by `data`.  An encoding already in
+    `frames` is looked up before any HNF: its ideal must be a left O0-ideal
+    and becomes the frame itself.  A new one is reduced once and checked by
+    `node_from_frame`, and its frame is kept under the encoding."""
+    key = _encoding(data)
+    frame = frames.get(key)
+    if frame is None:
+        node = node_from_frame(_lattice_from_json(alg, data))
+        frames[key] = node.frame
+        return node
+    if frame.left_order() != standard_extremal_order(alg):
+        raise ValueError("a frame is not a left ideal of the extremal order O0")
+    frame.nrd()  # an integral ideal of square index, as every frame is
+    return Node(frame=frame)
 
-    def node_of(lat_data):
-        lat = _lattice_from_json(alg, lat_data)
-        if lat not in nodes:
-            nodes[lat] = node_from_frame(lat)
-        return nodes[lat]
 
-    return Mor(node_of(data["src_frame"]), node_of(data["dst_frame"]),
+def mor_from_json(alg: QuatAlgebra, data, frames: dict | None = None) -> Mor:
+    """The morphism of `mor_to_json`.  Each frame must be a left O0-ideal.
+    `frames` maps each lattice encoding already read to its ideal, so a
+    frame is reduced and checked (`node_from_frame`) only the first time its
+    encoding is seen, and equal encodings share one frame ideal."""
+    frames = {} if frames is None else frames
+    return Mor(_frame_node(alg, data["src_frame"], frames),
+               _frame_node(alg, data["dst_frame"], frames),
                quaternion_from_json(alg, data["elem"]))
 
 
@@ -92,13 +134,16 @@ def matrix_to_json(mat: Mor2x2) -> dict:
             zip(("m11", "m12", "m21", "m22"), mat.entries())}
 
 
-def matrix_from_json(alg: QuatAlgebra, data) -> Mor2x2:
-    """The matrix of `matrix_to_json`.  An entry that fails its lattice
-    condition raises LatticeConditionError naming the entry."""
-    nodes, entries = {}, {}
+def matrix_from_json(alg: QuatAlgebra, data, frames: dict | None = None) -> Mor2x2:
+    """The matrix of `matrix_to_json`, its 8 frames looked up in and added
+    to `frames` as in `mor_from_json`, so each distinct frame is read once.
+    An entry that fails its lattice condition raises LatticeConditionError
+    naming the entry."""
+    frames = {} if frames is None else frames
+    entries = {}
     for key in ("m11", "m12", "m21", "m22"):
         try:
-            entries[key] = mor_from_json(alg, data[key], nodes)
+            entries[key] = mor_from_json(alg, data[key], frames)
         except LatticeConditionError as err:
             raise LatticeConditionError(f"{key}: {err}") from None
     return Mor2x2(**entries)
@@ -125,20 +170,34 @@ def certificate_to_json(cert: Certificate, matrix: Mor2x2 | None = None) -> dict
 
 
 def certificate_from_json(data) -> tuple[Certificate, Mor2x2 | None]:
+    """The certificate of `certificate_to_json`, with its matrix if the file
+    has one.  The file is read once: one `Ideal` per distinct lattice
+    encoding serves the five ideals and the eight frames.
+
+    I_psi, I11 and I21 are left O0-ideals.  O2 = O_R(I_psi) is built once
+    (O0 itself when I_psi = O0).  I12 and I22 are left ideals of
+    xi^-1*O2*xi, as xi11 and xi21 are integer multiples of one xi; that is
+    O2 when xi is a rational number, as in `complete` certificates.  So I12 is certified
+    as a left O2-ideal by O2*L <= L, which is equality as O2 is maximal,
+    and I22 by the left order of I12; a lattice that fails it gets its own
+    left order, as in `ideal_from_json`.  The frames that repeat an ideal
+    (n1p, n2 and n2p repeat I11, I_psi and I21 in a `complete` certificate)
+    become nodes on that ideal, so O(n2) is the same `Order` object as O2.
+    """
     alg = QuatAlgebra(int(data["p"]))
-    ideals = data["ideals"]
+    o0 = standard_extremal_order(alg)
+    ideals, seen = data["ideals"], {}
+    i_psi, i11, i21 = (_read_ideal(alg, ideals[k], seen, o0) for k in ("Ipsi", "I11", "I21"))
+    i12 = _read_ideal(alg, ideals["I12"], seen, i_psi.right_order())
+    i22 = _read_ideal(alg, ideals["I22"], seen, i12.left_order())
     cert = Certificate(
-        i_psi=ideal_from_json(ideals["Ipsi"], alg),
-        i11=ideal_from_json(ideals["I11"], alg),
-        i21=ideal_from_json(ideals["I21"], alg),
-        i12=ideal_from_json(ideals["I12"], alg),
-        i22=ideal_from_json(ideals["I22"], alg),
+        i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
         xi11=quaternion_from_json(alg, data["xi11"]),
         xi21=quaternion_from_json(alg, data["xi21"]),
         d11=int(data["d11"]),
         d21=int(data["d21"]),
     )
-    matrix = matrix_from_json(alg, data["matrix"]) if "matrix" in data else None
+    matrix = matrix_from_json(alg, data["matrix"], seen) if "matrix" in data else None
     return cert, matrix
 
 

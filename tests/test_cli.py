@@ -54,6 +54,22 @@ def test_lowdisc_and_verify_flow(tmp_path):
     assert report["verified"] is True
 
 
+def test_lowdisc_verifies_its_certificate_once(tmp_path, monkeypatch):
+    # the completion proves the certificate identities; before writing, the
+    # CLI compares only the kernel ideals
+    from quatisom.homframe import Certificate
+
+    calls = []
+    verify = Certificate.verify
+    monkeypatch.setattr(Certificate, "verify", lambda self, o2: calls.append(1) or verify(self, o2))
+    inst = tmp_path / "inst.json"
+    assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "4", "--seed", "4",
+                    "--out", str(inst)]) == 0
+    assert run_cli(["lowdisc", "--in", str(inst), "--seed", "1",
+                    "--out", str(tmp_path / "cert.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_lowdisc_bad_ell_is_input_error(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "4", "--seed", "4",

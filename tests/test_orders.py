@@ -268,6 +268,30 @@ def test_non_maximal_lattice_is_rejected(alg103, example_p103, tmp_path):
     assert main(["verify", "--in", str(path)]) == 3
 
 
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_is_left_o0_module_agrees_with_the_16_products(p):
+    # the 8 products with O0's ring generators i and (i+j)/2 decide O0*L <= L
+    # exactly as the 16 products of the two bases do
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 7)
+    g = alg.quaternion(1, 1, 1, 0)  # g*O0 is the forged frame of the witness tests
+    lattices = [o0.lattice, o0.lattice.lmul_q(g), o0.lattice.scale(Fraction(1, 3))]
+    for ell, m in ((3, 1), (3, 3), (5, 2), (7, 2)):
+        for _ in range(3):
+            ideal = random_left_ideal(o0, ell, m, rng)
+            lat, right = ideal.lattice, ideal.right_order().lattice
+            h = alg.quaternion(*(rng.randrange(-3, 4) for _ in range(4)))
+            if h.is_zero():
+                h = g
+            lattices += [lat, lat.conjugate(), lat.rmul_q(h), lat.lmul_q(h), lat.rmul_q(g),
+                         lat.lmul_q(g), right, lat.add(right.scale(7))]
+    got = [lat.is_left_o0_module() for lat in lattices]
+    assert got == [lat.contains_product(o0.lattice, lat) for lat in lattices]
+    assert got[:3] == [True, False, True]  # O0/3 is a fractional left O0-ideal
+    assert 0 < sum(got) < len(got)
+
+
 def test_nrd_index_consistency(o0_103):
     rng = random.Random(25)
     for _ in range(5):

@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 import quatisom
-from quatisom import QuatAlgebra, isom, standard_extremal_order
+from quatisom import QuatAlgebra, isom, orders, standard_extremal_order
 from quatisom.cli import main
 from quatisom.orders import Ideal
-from quatisom.serialization import mor_from_json
+from quatisom.serialization import certificate_from_json, mor_from_json
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(quatisom.__file__).resolve().parents[1]))
 
@@ -183,3 +183,54 @@ def test_forged_witness_is_rejected_under_python_O(certificates, tmp_path):
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 1, proc.stderr
     assert '"verified": false' in proc.stdout
+
+
+def _encodings(data: dict) -> set:
+    """The distinct lattice encodings of a certificate file: five ideals, eight frames."""
+    lattices = list(data["ideals"].values())
+    lattices += [m[f] for m in data["matrix"].values() for f in ("src_frame", "dst_frame")]
+    return {(d["denominator"], json.dumps(d["basis"])) for d in lattices}
+
+
+@pytest.mark.parametrize("p", [103, 503])
+@pytest.mark.parametrize("kind", ["lowdisc", "complete"])
+def test_certificate_file_is_read_once(certificates, monkeypatch, p, kind):
+    # one Lattice4 reduction per distinct encoding and at most one order built.
+    # O2 = O_R(I_psi) is the order of n2, m12's source; I12 and I22 share the
+    # left order xi^-1*O2*xi, which is O2 itself where xi is a rational number
+    # (`complete`) and is built once where it is not (`lowdisc`, O2 = O0)
+    data = json.loads(certificates(p)[kind].read_text())
+    reductions, unit_orders = [], []
+    hnf_rows, unit_order = orders.hnf_rows, orders._unit_order
+    monkeypatch.setattr(orders, "hnf_rows", lambda m: reductions.append(1) or hnf_rows(m))
+    monkeypatch.setattr(orders, "_unit_order",
+                        lambda lat, left: unit_orders.append(1) or unit_order(lat, left))
+    cert, matrix = certificate_from_json(data)
+    assert len(unit_orders) <= 1
+    assert len(reductions) == len(_encodings(data)) + len(unit_orders)
+    assert cert.i_psi.right_order() is matrix.m12.src.order
+    assert cert.i22.left_order() is cert.i12.left_order()
+    if kind == "complete":
+        assert cert.i12.left_order() is cert.i_psi.right_order()
+        assert matrix.m11.dst.frame is cert.i11 and matrix.m21.dst.frame is cert.i21
+    assert isom.verify_certificate(cert, matrix).ok
+    # the I22 := I12 control shares one ideal between the two
+    bad = json.loads(json.dumps(data))
+    bad["ideals"]["I22"] = bad["ideals"]["I12"]
+    cert, matrix = certificate_from_json(bad)
+    assert cert.i12 is cert.i22
+
+
+@pytest.mark.parametrize("kind", ["lowdisc", "complete"])
+def test_shared_parse_keeps_its_errors(certificates, tmp_path, kind, capsys):
+    data = json.loads(certificates(103)[kind].read_text())
+    bad = json.loads(json.dumps(data))
+    bad["ideals"]["I12"]["nrd"] = str(int(bad["ideals"]["I12"]["nrd"]) + 1)
+    assert _verify(bad, tmp_path / "nrd.json")[0] == 3
+    assert "stored reduced norm" in capsys.readouterr().err
+    # a frame that repeats an ideal already read must be a left O0-ideal too
+    bad = json.loads(json.dumps(data))
+    i12 = bad["ideals"]["I12"]
+    bad["matrix"]["m12"]["src_frame"] = {k: i12[k] for k in ("denominator", "basis")}
+    assert _verify(bad, tmp_path / "frame.json")[0] == 3
+    assert "left ideal of the extremal order" in capsys.readouterr().err
