@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .localization import VerificationError, _check  # noqa: F401 (re-exported)
 from .orders import Ideal, Lattice4, Order, multiply_ideals, standard_extremal_order
@@ -308,6 +309,17 @@ def is_scalar_matrix(mat: Mor2x2, value: int) -> bool:
             and mat.m12.is_zero() and mat.m21.is_zero())
 
 
+def _division_identity(o2: Order, a: Lattice4, b: Lattice4, xi: Quaternion) -> bool:
+    """Whether a*b = O2*xi for a maximal order O2, with no HNF of the 16-row
+    product a*b; conditions (a)-(d) of `Certificate.verify`."""
+    idx = 4 * abs(a.det())
+    n = isqrt(idx.numerator)
+    return (idx.denominator == 1 and n * n == idx.numerator       # (b)
+            and a.contains_product(o2.lattice, a)                 # (a)
+            and b.contains_rmul(a.conjugate(), xi / n)            # (c)
+            and o2.lattice.rmul_q(xi).contains_product(a, b))     # (d)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Data proving that a completed matrix is an isomorphism.
@@ -330,8 +342,29 @@ class Certificate:
     d21: int
 
     def verify(self, o2: Order) -> bool:
-        if self.xi11.is_zero() or self.xi21.is_zero():
-            return False  # O2*0 is no lattice, so neither identity can hold
+        """Whether the invariants hold over o2, which must be maximal.
+
+        Each division identity A*B = O2*xi, with A = J11 = conj(I_psi)*I11,
+        B = conj(I12) and xi = xi11 (resp. 21/22), is proved by containment
+        and covolume, with no HNF of A*B.  Let n > 0 with n^2 = 4*covol(A).
+          (a) O2*A <= A.  O2 is maximal, so O_L(A) = O2; a lattice with a
+              maximal left order is invertible, A*conj(A) = nrd(A)*O2, and
+              covol(A) = nrd(A)^2/4, so n = nrd(A).
+          (b) n is an integer.
+          (c) conj(A)*xi/n <= B (4 products).  Then
+              O2*xi = A*conj(A)*xi/n <= A*B.
+          (d) A*B <= O2*xi (16 products against the 4-row lattice O2*xi).
+        So A*B = O2*xi, and the test is sufficient: it accepts nothing the
+        equality of the two reduced lattices rejects.  It also fixes B:
+        multiplying on the left by conj(A)/n, and as conj(A)*A = n*O_R(A)
+        and conj(A)*O2 = conj(A), gives O_R(A)*B = conj(A)*xi/n, which (c)
+        puts inside B <= O_R(A)*B.  So B = conj(A)*xi/n and
+        I12 = conj(xi)*A/n, of reduced norm Nrd(xi)/n and right order
+        O_R(A) = O_R(I11): a certificate passes only in the presentation
+        stated above.
+        """
+        if self.xi11.is_zero() or self.xi21.is_zero() or not o2.is_maximal():
+            return False  # O2*0 is no lattice, and (a) needs a maximal O2
         xi = self.xi11 * self.d21 - self.xi21 * self.d11
         if xi.reduced_norm() != self.d11 * self.d21 * self.i_psi.nrd():
             return False
@@ -340,8 +373,5 @@ class Certificate:
         j21 = psi_bar.mul(self.i21.lattice)
         if not (j11.contains(self.xi11) and j21.contains(self.xi21)):
             return False
-        if j11.mul(self.i12.conjugate().lattice) != o2.lattice.rmul_q(self.xi11):
-            return False
-        if j21.mul(self.i22.conjugate().lattice) != o2.lattice.rmul_q(self.xi21):
-            return False
-        return True
+        return (_division_identity(o2, j11, self.i12.conjugate().lattice, self.xi11)
+                and _division_identity(o2, j21, self.i22.conjugate().lattice, self.xi21))

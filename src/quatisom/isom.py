@@ -192,14 +192,6 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
         b11 = _known_morphism_elem(n1, n1p, i11, generators[0])
         b21 = _known_morphism_elem(n1, n2p, i21, generators[1])
 
-    # frame(n1p)*b11 = frame(n1)*I11, so O_R(I11) = b11^-1*O(n1p)*b11 without
-    # the product conj(I11)*I11; likewise for I21.  A conjugate of a maximal
-    # order is one, so the closure test is skipped.
-    i11 = Ideal(i11.lattice, left=o1, nrd=d11, right=Order(
-        n1p.order.lattice.lmul_q(b11.inverse()).rmul_q(b11), _certified=True))
-    i21 = Ideal(i21.lattice, left=o1, nrd=d21, right=Order(
-        n2p.order.lattice.lmul_q(b21.inverse()).rmul_q(b21), _certified=True))
-
     f2 = n2.frame.lattice
     i_psi = Ideal(f2 if n1.is_base() else n1.frame.lattice.conjugate().mul(f2),
                   left=o1, right=o2)
@@ -224,9 +216,14 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     _check(u * d21 - v * d11 == 1 and u != 0 and v != 0,
            "the Bezout pair does not split xi into two nonzero parts")
     xi11, xi21 = xi * u, xi * v
-    # I12 = conj(W) for the divisor W = conj(J11)*xi11/Nrd(J11) of O2*xi11 = J11*W
-    i12 = Ideal(j11.lattice.lmul_q(xi11.conjugate() / j11.nrd()), right=i11.right_order())
-    i22 = Ideal(j21.lattice.lmul_q(xi21.conjugate() / j21.nrd()), right=i21.right_order())
+    # I12 = conj(W) for the divisor W = conj(J11)*xi11/Nrd(J11) of O2*xi11 = J11*W,
+    # of reduced norm Nrd(xi11)/Nrd(J11): an integer once the check below has
+    # put xi11 in J11, and a scaling of J11 where xi is rational.  Its orders
+    # are left to first use.
+    i12 = Ideal(j11.lattice.lmul_q(xi11.conjugate() / j11.nrd()),
+                nrd=xi11.reduced_norm() // j11.nrd())
+    i22 = Ideal(j21.lattice.lmul_q(xi21.conjugate() / j21.nrd()),
+                nrd=xi21.reduced_norm() // j21.nrd())
     cert = Certificate(i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
                        xi11=xi11, xi21=xi21, d11=d11, d21=d21)
     # xi11 in J11 makes W integral; the check proves it and both identities

@@ -189,22 +189,40 @@ class Lattice4:
         return Lattice4(self.alg, mat, den // g, _canonical=True)
 
     def rmul_q(self, q: Quaternion) -> "Lattice4":
-        """The lattice L*q."""
+        """The lattice L*q; a rational q is a scaling, with no HNF."""
         if q.is_zero():
             raise ValueError("cannot multiply a lattice by zero")
+        if not any(q.num[1:]):
+            return self.scale(Fraction(q.num[0], q.den))
         p = self.alg.p
         return Lattice4(self.alg, [qmul(r, q.num, p) for r in self.mat], self.den * q.den)
 
     def lmul_q(self, q: Quaternion) -> "Lattice4":
-        """The lattice q*L."""
+        """The lattice q*L; a rational q is a scaling, with no HNF."""
         if q.is_zero():
             raise ValueError("cannot multiply a lattice by zero")
+        if not any(q.num[1:]):
+            return self.scale(Fraction(q.num[0], q.den))
         p = self.alg.p
         return Lattice4(self.alg, [qmul(q.num, r, p) for r in self.mat], self.den * q.den)
 
     def conjugate(self) -> "Lattice4":
-        rows = [[r[0], -r[1], -r[2], -r[3]] for r in self.mat]
-        return Lattice4(self.alg, rows, self.den)
+        """conj(L) in HNF without a new reduction.
+
+        Conjugation negates columns 1-3 of the HNF basis H; negating rows
+        1-3 as well gives rows 1-3 of H back, so only row 0's entries in
+        columns 1-3 change sign.  Size-reducing them into [0, pivot) against
+        rows 1, 2, 3 in turn, as the HNF requires, gives the HNF.  The
+        content and denominator are those of L.
+        """
+        h = self.mat
+        top = [h[0][0], -h[0][1], -h[0][2], -h[0][3]]
+        for r in (1, 2, 3):
+            q = top[r] // h[r][r]
+            if q:
+                for c in range(r, 4):
+                    top[c] -= q * h[r][c]
+        return Lattice4(self.alg, (tuple(top),) + h[1:], self.den, _canonical=True)
 
     def intersect(self, other: "Lattice4") -> "Lattice4":
         d = lcm(self.den, other.den)
@@ -238,11 +256,15 @@ class Lattice4:
 def _lattice_mul(a: Lattice4, b: Lattice4) -> Lattice4:
     """a*b from the 16 products of basis rows, memoized by value.
 
-    A completion builds J11 and J21, and its certificate check builds them
-    again with the two J*W products, which only that check builds.  The few
-    most recent products are kept so each is reduced once.  Lattices are
-    immutable, so a kept result can be shared.
+    When 1 is in a and a*b <= b, a*b is b (b = 1*b <= a*b), decided on the
+    16 products with no HNF: a ring acting on a lattice, such as
+    conj(O0)*I = I for a left O0-ideal I, costs no reduction.  A completion
+    builds J11 and J21, and its certificate check builds them again; the
+    few most recent products are kept so each is reduced once.  Lattices
+    are immutable, so a kept result can be shared.
     """
+    if _in_span(a.mat, (a.den, 0, 0, 0)) and b.contains_product(a, b):
+        return b
     p = a.alg.p
     return Lattice4(a.alg, [qmul(x, y, p) for x in a.mat for y in b.mat], a.den * b.den)
 
@@ -299,9 +321,9 @@ class Order:
     basis elements have integral trace and norm, and the 16 products of
     basis elements lie in it.  The library builds an order without that
     test only where it is already proven, through the private keyword
-    `_certified=True`: `left_order`/`right_order` (see `_unit_order`) and a
-    conjugate g^-1*O*g of an order O, which is the image of O under an
-    algebra automorphism.
+    `_certified=True`: `left_order`/`right_order` (see `_unit_order`) and
+    `conjugate_by`, whose g^-1*O*g is the image of O under an algebra
+    automorphism.
 
     Its units and its trace-zero minimum are computed on first use and kept
     on the object.
@@ -376,6 +398,18 @@ class Order:
 
     def one_ideal(self) -> "Ideal":
         return Ideal(self.lattice, left=self, right=self, nrd=1)
+
+    def conjugate_by(self, g: Quaternion) -> "Order":
+        """g^-1*O*g for a nonzero g: the image of O under an algebra
+        automorphism, so an order, and maximal when O is.  One HNF of the
+        rows conj(g)*r*g over den*Nrd(g); O itself when g is rational."""
+        if not any(g.num[1:]):
+            return self
+        p, lat = self.alg.p, self.lattice
+        gbar = (g.num[0], -g.num[1], -g.num[2], -g.num[3])
+        rows = [qmul(qmul(gbar, r, p), g.num, p) for r in lat.mat]
+        nrd = g.num[0] ** 2 + g.num[1] ** 2 + p * (g.num[2] ** 2 + g.num[3] ** 2)
+        return Order(Lattice4(lat.alg, rows, lat.den * nrd), _certified=True)
 
 
 _EXTREMAL_ORDERS: dict[int, Order] = {}

@@ -176,23 +176,27 @@ def certificate_from_json(data) -> tuple[Certificate, Mor2x2 | None]:
 
     I_psi, I11 and I21 are left O0-ideals.  O2 = O_R(I_psi) is built once
     (O0 itself when I_psi = O0).  I12 and I22 are left ideals of
-    xi^-1*O2*xi, as xi11 and xi21 are integer multiples of one xi; that is
-    O2 when xi is a rational number, as in `complete` certificates.  So I12 is certified
-    as a left O2-ideal by O2*L <= L, which is equality as O2 is maximal,
-    and I22 by the left order of I12; a lattice that fails it gets its own
-    left order, as in `ideal_from_json`.  The frames that repeat an ideal
-    (n1p, n2 and n2p repeat I11, I_psi and I21 in a `complete` certificate)
-    become nodes on that ideal, so O(n2) is the same `Order` object as O2.
+    xi^-1*O2*xi, as xi11 and xi21 are integer multiples of one xi.  That
+    order is taken from xi11 with one HNF (`Order.conjugate_by`), and is O2
+    itself when xi is a rational number, as in `complete` certificates; a
+    conjugate of a maximal order is maximal.  So I12 is certified as its
+    left ideal by xi11^-1*O2*xi11*L <= L, which is equality, and I22 by the
+    left order of I12; a lattice that fails it gets its own left order, as
+    in `ideal_from_json`.  The frames that repeat an ideal (n1p, n2 and n2p
+    repeat I11, I_psi and I21 in a `complete` certificate) become nodes on
+    that ideal, so O(n2) is the same `Order` object as O2.
     """
     alg = QuatAlgebra(int(data["p"]))
     o0 = standard_extremal_order(alg)
     ideals, seen = data["ideals"], {}
     i_psi, i11, i21 = (_read_ideal(alg, ideals[k], seen, o0) for k in ("Ipsi", "I11", "I21"))
-    i12 = _read_ideal(alg, ideals["I12"], seen, i_psi.right_order())
+    xi11 = quaternion_from_json(alg, data["xi11"])
+    o2 = i_psi.right_order()
+    i12 = _read_ideal(alg, ideals["I12"], seen, o2 if xi11.is_zero() else o2.conjugate_by(xi11))
     i22 = _read_ideal(alg, ideals["I22"], seen, i12.left_order())
     cert = Certificate(
         i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
-        xi11=quaternion_from_json(alg, data["xi11"]),
+        xi11=xi11,
         xi21=quaternion_from_json(alg, data["xi21"]),
         d11=int(data["d11"]),
         d21=int(data["d21"]),

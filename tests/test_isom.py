@@ -24,7 +24,7 @@ from quatisom.homframe import transpose, mat_compose
 from quatisom.isom import (_bezout_split, _canonical_generator, _principal_generator,
                            conjugating_elements, is_isomorphic_order)
 from quatisom.linalg import enumerate_up_to
-from quatisom.orders import (Lattice4, Order, connecting_ideal, multiply_ideals, nrd_gram,
+from quatisom.orders import (Ideal, Lattice4, Order, connecting_ideal, multiply_ideals, nrd_gram,
                              two_sided_prime)
 
 
@@ -502,10 +502,13 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     # reach HNF with transform, the integer kernel or system solver, a
     # lattice intersection or any shortest-vector search (the pipelines hold
     # all three generators of a completion), and no pipeline divides through the
-    # division module.  A completion reduces at most four 16-row products (J11,
-    # J21 and the two division identities) and makes at most 16 HNF reductions
-    # in all (conj(I_psi) is reduced once and kept on the ideal), so a check
-    # that repeats the certificate's fails here
+    # division module.  A completion reduces at most two 16-row products, J11
+    # and J21, and none on the low-discriminant route, where I_psi = O0 acts
+    # on I11 and I21.  It makes at most 5 HNF reductions in all: conjugates,
+    # products by a rational xi (every general-route xi at this seed) and the
+    # division identities take none, and the orders of I11, I21, I12 and I22
+    # are left to first use.  So a check that repeats the certificate's or
+    # reduces a product it could bound fails here
     rng = random.Random(94)
     nodes = [node_from_ideal(random_left_ideal(o0_103, 3, 3, rng)) for _ in range(4)]
 
@@ -521,7 +524,7 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     monkeypatch.setattr(Lattice4, "intersect", forbidden)
     monkeypatch.setattr(Lattice4, "min_nonzero_norm", forbidden)
 
-    counts, totals, active = [], [], []
+    counts, totals, active, lowdisc = [], [], [], []
     hnf_rows, completion = orders.hnf_rows, isom.isomorphism_completion
 
     def counting_hnf_rows(mat):
@@ -534,6 +537,7 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
         orders._lattice_mul.cache_clear()  # count every product the completion needs
         counts.append(0)
         totals.append(0)
+        lowdisc.append(args[2].is_base())  # n2 = E0: I_psi = O0
         active.append(True)
         try:
             return completion(*args, **kwargs)
@@ -549,8 +553,9 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     chain = isom_g_products(nodes[:3], nodes[1:], rng)
     assert [kani_degree(mat) for _, mat in chain] == [1, 1]
     assert len(counts) == 1 + 2 + 4 + 6
-    assert max(counts) <= 4, counts
-    assert max(totals) <= 16, totals
+    assert max(counts) <= 2, counts
+    assert all(c == 0 for c, low in zip(counts, lowdisc) if low), (counts, lowdisc)
+    assert max(totals) <= 5, totals
 
 
 def _pipeline_column(o0, rng):
@@ -620,6 +625,8 @@ def test_closed_form_xi_matches_search(monkeypatch, p):
             j = multiply_ideals(psi_bar, i_first, check_compatible=False)
             w = principal_ideal_divide(args[2].order, i_first.right_order(), xi, j)
             assert i_second == w.conjugate()
+            # the closed-form reduced norm Nrd(xi)/Nrd(J) is the lattice's own
+            assert i_second.nrd() == Ideal(i_second.lattice).nrd()
 
 
 def test_completion_rejects_wrong_generator(o0_103, alg103):

@@ -494,3 +494,63 @@ def test_memoized_product_matches_fresh_build(alg103, data):
         fresh = Lattice4(alg103, [qmul(r, s, 103) for r in x.mat for s in y.mat], x.den * y.den)
         out = x.mul(y)
         assert (out.mat, out.den) == (fresh.mat, fresh.den)
+
+
+def _random_lattice(alg, rng, bound):
+    """A full-rank lattice with entries in [-bound, bound] over a denominator in [2, 9]."""
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(4)]
+        if _det4(rows):
+            return Lattice4(alg, rows, rng.randint(2, 9))
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_closed_form_conjugate_matches_full_hnf(p):
+    # the closed form size-reduces row 0 of the sign-flipped HNF; the
+    # reference reduces the conjugated rows from scratch
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p)
+    lats = [o0.lattice] + [random_left_ideal(o0, 3, 4, rng).lattice for _ in range(5)]
+    lats += [_random_lattice(alg, rng, 10 ** rng.randint(1, 6)) for _ in range(2000)]
+    for lat in lats:
+        ref = Lattice4(alg, [[r[0], -r[1], -r[2], -r[3]] for r in lat.mat], lat.den)
+        out = lat.conjugate()
+        assert (out.mat, out.den) == (ref.mat, ref.den)
+        assert out.conjugate() == lat
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_products_by_rational_quaternions_are_scalings(p):
+    alg = QuatAlgebra(p)
+    rng = random.Random(p + 1)
+    for _ in range(300):
+        lat = _random_lattice(alg, rng, 50)
+        q = alg.quaternion(Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 40)))
+        for out, rows in ((lat.rmul_q(q), [qmul(r, q.num, p) for r in lat.mat]),
+                          (lat.lmul_q(q), [qmul(q.num, r, p) for r in lat.mat])):
+            ref = Lattice4(alg, rows, lat.den * q.den)
+            assert (out.mat, out.den) == (ref.mat, ref.den)
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_product_by_an_acting_order_matches_full_hnf(p):
+    # 1 in a and a*b <= b give a*b = b with no HNF.  The pairs mix orders
+    # that act (O0 on a left O0-ideal, O_R(I) on conj(I)) with orders that
+    # hold 1 but do not act (O0 on a random lattice, O_R(I) on I from the left)
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 2)
+    acting = 0
+    for _ in range(8):
+        ideal = random_left_ideal(o0, 3, 3, rng)
+        o_r = ideal.right_order().lattice
+        pairs = [(o0.lattice, ideal.lattice), (o_r, ideal.conjugate().lattice),
+                 (o0.lattice, _random_lattice(alg, rng, 20)), (o_r, ideal.lattice)]
+        for a, b in pairs:
+            acting += b.contains_product(a, b)
+            _lattice_mul.cache_clear()
+            out = a.mul(b)
+            ref = Lattice4(alg, [qmul(x, y, p) for x in a.mat for y in b.mat], a.den * b.den)
+            assert (out.mat, out.den) == (ref.mat, ref.den)
+    assert 16 <= acting < 32

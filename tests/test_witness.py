@@ -195,10 +195,11 @@ def _encodings(data: dict) -> set:
 @pytest.mark.parametrize("p", [103, 503])
 @pytest.mark.parametrize("kind", ["lowdisc", "complete"])
 def test_certificate_file_is_read_once(certificates, monkeypatch, p, kind):
-    # one Lattice4 reduction per distinct encoding and at most one order built.
+    # one Lattice4 reduction per distinct encoding and one order built.
     # O2 = O_R(I_psi) is the order of n2, m12's source; I12 and I22 share the
     # left order xi^-1*O2*xi, which is O2 itself where xi is a rational number
-    # (`complete`) and is built once where it is not (`lowdisc`, O2 = O0)
+    # (`complete`, O2 built by `_unit_order`) and is O0 conjugated by xi11,
+    # one HNF and no `_unit_order`, where it is not (`lowdisc`, O2 = O0)
     data = json.loads(certificates(p)[kind].read_text())
     reductions, unit_orders = [], []
     hnf_rows, unit_order = orders.hnf_rows, orders._unit_order
@@ -206,8 +207,8 @@ def test_certificate_file_is_read_once(certificates, monkeypatch, p, kind):
     monkeypatch.setattr(orders, "_unit_order",
                         lambda lat, left: unit_orders.append(1) or unit_order(lat, left))
     cert, matrix = certificate_from_json(data)
-    assert len(unit_orders) <= 1
-    assert len(reductions) == len(_encodings(data)) + len(unit_orders)
+    assert len(unit_orders) == (kind == "complete")
+    assert len(reductions) == len(_encodings(data)) + 1
     assert cert.i_psi.right_order() is matrix.m12.src.order
     assert cert.i22.left_order() is cert.i12.left_order()
     if kind == "complete":
