@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from .linalg import hnf_rows, lll_reduce
 from .localization import _check, _sqrt_mod_prime
-from .orders import (Ideal, Order, SamplingBudgetError, _span_coords, nrd_gram,
+from .orders import (Ideal, Order, SamplingBudgetError, nrd_gram,
                      standard_extremal_order)
 from .quat import Quaternion, is_prime
 
@@ -401,8 +401,8 @@ def _mod_constraint(j_prime: Ideal, gamma: Quaternion, n: int) -> tuple[int, int
     _, _, jq, kq = j_prime.alg.gens()
     lat = j_prime.lattice
     gj, gk = gamma * jq, -(gamma * kq)
-    cu = [y % n for y in _span_coords(lat.mat, [n * lat.den * v for v in gj.num], gj.den)[1]]
-    cv = [y % n for y in _span_coords(lat.mat, [n * lat.den * v for v in gk.num], gk.den)[1]]
+    cu = [y % n for y in lat.coordinates([n * v for v in gj.num], gj.den)[1]]
+    cv = [y % n for y in lat.coordinates([n * v for v in gk.num], gk.den)[1]]
     rows = [(cu[t], cv[t]) for t in range(4) if cu[t] or cv[t]]
     if not rows:
         return (1, 0)

@@ -28,38 +28,6 @@ def nrd_gram(p: int) -> list[list[int]]:
     return [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]
 
 
-def _in_span(rows, v, scale: int = 1) -> bool:
-    """Whether the integer vector v is an integer combination of scale*rows,
-    where rows is a full-rank upper-triangular (HNF) basis."""
-    v = list(v)
-    for r, row in enumerate(rows):
-        piv = scale * row[r]
-        x, rem = divmod(v[r], piv)
-        if rem:
-            return False
-        if x:
-            for c in range(r + 1, 4):
-                v[c] -= x * scale * row[c]
-    return True
-
-
-def _span_coords(rows, v, den: int = 1) -> tuple[int, list[int]]:
-    """(D, y) with y/D the coordinates of v/den on rows, a full-rank
-    upper-triangular (HNF) basis, and D > 0 least: the lcm of their
-    denominators.  An integer triangular solve over a common denominator."""
-    big, y = den, []
-    for r, row in enumerate(rows):
-        num = v[r] * (big // den) - sum(y[t] * rows[t][r] for t in range(r))
-        g = gcd(num, row[r])
-        if g != row[r]:
-            k = row[r] // g
-            big *= k
-            y = [t * k for t in y]
-        y.append(num // g)
-    g = gcd(big, *y)
-    return big // g, [t // g for t in y]
-
-
 def _det3(a, b, c, d, e, f, g, h, i) -> int:
     """Determinant of the 3x3 matrix with rows (a, b, c), (d, e, f), (g, h, i)."""
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -83,12 +51,24 @@ def _cofactor(m, r: int, c: int) -> int:
 
 
 class Lattice4:
-    """Full rank-4 Z-lattice in B_{p,oo}, canonical HNF basis over a denominator."""
+    """Full rank-4 Z-lattice in B_{p,oo}, canonical HNF basis over a denominator.
 
-    __slots__ = ("alg", "mat", "den")
+    Membership and coordinates have one kernel.  The HNF basis H (`mat`) is
+    upper triangular with positive pivots, so D = det(H) = h00*h11*h22*h33,
+    and adj(H) = D*H^-1 is an upper-triangular integer matrix whose 10
+    entries are closed-form cofactors.  An integer row w over a denominator
+    e is w/e = x*H/den for the coordinates x = w*A/(e*D), A = den*adj(H).
+    So w/e lies in the lattice exactly when all four entries of w*A are
+    0 mod e*D: an exact integer test, one product per row.  A and D depend
+    only on `mat` and `den`, which never change, so they are computed on
+    first use and kept, like the HNF itself.
+    """
+
+    __slots__ = ("alg", "mat", "den", "_inv")
 
     def __init__(self, alg: QuatAlgebra, rows, den: int = 1, *, _canonical=False):
         self.alg = alg
+        self._inv = None
         if _canonical:
             self.mat = rows
             self.den = den
@@ -120,24 +100,45 @@ class Lattice4:
         m = self.mat
         return Fraction(m[0][0] * m[1][1] * m[2][2] * m[3][3], self.den ** 4)
 
-    def coords_of(self, q: Quaternion) -> list[Fraction]:
-        """Coordinates of q on the basis (a full-rank lattice spans the algebra)."""
-        target = [c * self.den for c in q.coords()]
-        xs = []
-        for r in range(4):
-            piv = self.mat[r][r]
-            acc = target[r]
-            for t in range(r):
-                acc -= xs[t] * self.mat[t][r]
-            xs.append(Fraction(acc, piv))
-        return xs
+    def _inverse(self) -> tuple[int, ...]:
+        """The upper triangle of A = den*adj(H), row by row, and D = det(H):
+        (a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, D), kept."""
+        if self._inv is None:
+            (a, b, c, d), (_, e, f, g), (_, _, h, i), (_, _, _, j) = self.mat
+            s, fi_gh, hj = self.den, f * i - g * h, h * j
+            self._inv = (s * e * hj, -s * b * hj, s * (b * f - c * e) * j,
+                         s * (c * e * i - b * fi_gh - d * e * h),
+                         s * a * hj, -s * a * f * j, s * a * fi_gh,
+                         s * a * e * j, -s * a * e * i,
+                         s * a * e * h,
+                         a * e * hj)
+        return self._inv
+
+    def coordinates(self, v, den: int) -> tuple[int, list[int]]:
+        """(E, y) with y/E the coordinates of v/den (v an integer row) on the
+        basis, E > 0 least: v*A over den*D, in lowest terms."""
+        a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, d = self._inverse()
+        w0, w1, w2, w3 = v
+        y = (w0 * a00, w0 * a01 + w1 * a11, w0 * a02 + w1 * a12 + w2 * a22,
+             w0 * a03 + w1 * a13 + w2 * a23 + w3 * a33)
+        m = den * d
+        g = gcd(m, *y)
+        return m // g, [t // g for t in y]
 
     def contains(self, q: Quaternion) -> bool:
-        return _in_span(self.mat, [v * self.den for v in q.num], q.den)
+        return self._contains_rows((q.num,), q.den)
 
     def _contains_rows(self, rows, den: int) -> bool:
-        """Whether every row/den (integer rows) lies in the lattice."""
-        return all(_in_span(self.mat, [v * self.den for v in row], den) for row in rows)
+        """Whether every row/den (integer rows) lies in the lattice: all four
+        entries of row*A are 0 mod den*D (see the class docstring)."""
+        a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, d = self._inverse()
+        m = den * d
+        for w0, w1, w2, w3 in rows:
+            if ((w0 * a00) % m or (w0 * a01 + w1 * a11) % m
+                    or (w0 * a02 + w1 * a12 + w2 * a22) % m
+                    or (w0 * a03 + w1 * a13 + w2 * a23 + w3 * a33) % m):
+                return False
+        return True
 
     def contains_lattice(self, other: "Lattice4") -> bool:
         return self._contains_rows(other.mat, other.den)
@@ -263,7 +264,7 @@ def _lattice_mul(a: Lattice4, b: Lattice4) -> Lattice4:
     few most recent products are kept so each is reduced once.  Lattices
     are immutable, so a kept result can be shared.
     """
-    if _in_span(a.mat, (a.den, 0, 0, 0)) and b.contains_product(a, b):
+    if a._contains_rows(((1, 0, 0, 0),), 1) and b.contains_product(a, b):
         return b
     p = a.alg.p
     return Lattice4(a.alg, [qmul(x, y, p) for x in a.mat for y in b.mat], a.den * b.den)
@@ -338,17 +339,16 @@ class Order:
         if _certified:
             return
         # basis element x = row/den: trace 2*row[0]/den, norm nrd(row)/den^2,
-        # and x*y lies in the lattice iff row_x*row_y is in den*span(rows)
+        # and x*y = row_x*row_y/den^2
         p, mat, den = lattice.alg.p, lattice.mat, lattice.den
-        if not _in_span(mat, (den, 0, 0, 0)):
+        if not lattice._contains_rows(((1, 0, 0, 0),), 1):
             raise ValueError("order must contain 1")
         for x in mat:
             nrd = x[0] ** 2 + x[1] ** 2 + p * (x[2] ** 2 + x[3] ** 2)
             if (2 * x[0]) % den or nrd % (den * den):
                 raise ValueError("order elements must have integral trace and norm")
-            for y in mat:
-                if not _in_span(mat, qmul(x, y, p), den):
-                    raise ValueError("lattice is not closed under multiplication")
+            if not lattice._contains_rows([qmul(x, y, p) for y in mat], den * den):
+                raise ValueError("lattice is not closed under multiplication")
 
     @property
     def alg(self) -> QuatAlgebra:
@@ -528,7 +528,7 @@ def connecting_ideal(o1: Order, o2: Order) -> Ideal:
     d = 1
     for target in (o1.lattice, o2.lattice):
         for row in prod.mat:
-            d = lcm(d, _span_coords(target.mat, [v * target.den for v in row], prod.den)[0])
+            d = lcm(d, target.coordinates(row, prod.den)[0])
     lat = prod.scale(d) if d != 1 else prod
     return Ideal(lat, left=o1, right=o2)
 

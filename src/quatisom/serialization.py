@@ -10,7 +10,8 @@ A certificate file is read once: each distinct lattice encoding becomes one
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import re
+from math import lcm
 
 from .homframe import Certificate, LatticeConditionError, Mor, Mor2x2, Node, node_from_frame
 from .orders import Ideal, Lattice4, Order, standard_extremal_order
@@ -21,10 +22,25 @@ def quaternion_to_json(q: Quaternion) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in q.coords()]
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def quaternion_from_json(alg: QuatAlgebra, data) -> Quaternion:
+    """The quaternion of `quaternion_to_json`, read as integers: each
+    coordinate is a string "num/den" with den > 0.  Any other literal,
+    a zero denominator included, raises ValueError."""
     if len(data) != 4:
         raise ValueError("quaternion must have four coordinates")
-    return alg.quaternion(*(Fraction(s) for s in data))
+    pairs = []
+    for s in data:
+        m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+        if m is None:
+            raise ValueError(f"quaternion coordinate {s!r} is not of the form num/den")
+        if not int(m[2]):
+            raise ValueError(f"quaternion coordinate {s!r} has a zero denominator")
+        pairs.append((int(m[1]), int(m[2])))
+    den = lcm(*(d for _, d in pairs))
+    return Quaternion(alg, tuple(n * (den // d) for n, d in pairs), den)
 
 
 def ideal_to_json(ideal: Ideal) -> dict:

@@ -98,6 +98,35 @@ def test_complete_flow(tmp_path):
     assert run_cli(["verify", "--in", str(cert)]) == 0
 
 
+def test_malformed_coordinate_is_input_error(tmp_path, capsys):
+    # quaternions are read as the "num/den" strings `quaternion_to_json`
+    # writes, num an integer and den a positive integer; any other literal
+    # is invalid input, in xi11 and in a matrix entry alike
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "2", "--seed", "5",
+                    "--out", str(inst)]) == 0
+    alt = tmp_path / "alt.json"
+    assert run_cli(["gen", "--p", "103", "--ell", "5", "--m", "1", "--seed", "6",
+                    "--out", str(alt)]) == 0
+    data = json.loads(inst.read_text())
+    data["ideals"][1] = json.loads(alt.read_text())["ideals"][0]
+    inst.write_text(json.dumps(data))
+    assert run_cli(["complete", "--in", str(inst), "--out", str(cert)]) == 0
+    good = json.loads(cert.read_text())
+    bad_path = tmp_path / "bad.json"
+    for literal in ["1/0", "-3/0", "1/-2", "1/2/3", "0.5", "1", "+1/2", " 1/2", "1/2 ",
+                    "1_0/2", "1e3/1", "\uff11/2", "", 1]:
+        for place in ("xi11", "matrix"):
+            bad = json.loads(json.dumps(good))
+            coords = bad["xi11"] if place == "xi11" else bad["matrix"]["m11"]["elem"]
+            coords[0] = literal
+            bad_path.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert run_cli(["verify", "--in", str(bad_path)]) == 3, (literal, place)
+            assert "invalid input: quaternion coordinate" in capsys.readouterr().err
+
+
 def test_isom2_flow(tmp_path):
     inst = tmp_path / "inst.json"
     assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "3", "--g", "2",

@@ -8,13 +8,27 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quatisom import (Ideal, Lattice4, QuatAlgebra, connecting_ideal, ideal_norm,
-                      multiply_ideals, principal_ideal, random_left_ideal,
-                      standard_extremal_order, two_sided_prime, unit_orders)
+                      multiply_ideals, node_from_ideal, principal_ideal, random_left_ideal,
+                      standard_extremal_order, sum_kernel_ideal, two_sided_prime, unit_orders)
 from quatisom.cli import main
-from quatisom.orders import (Order, _det4, _lattice_mul, _span_coords, left_order,
-                             right_order)
+from quatisom.orders import Order, _det4, _lattice_mul, left_order, right_order
 from quatisom.quat import qmul
 from quatisom.serialization import ideal_from_json, ideal_to_json
+
+
+def coords_of(lat, q):
+    """Coordinates of q on the basis of lat (a full-rank lattice spans the
+    algebra), by a rational triangular solve on the HNF rows.  The oracle
+    for `Lattice4.coordinates` and the membership kernel."""
+    target = [c * lat.den for c in q.coords()]
+    xs = []
+    for r in range(4):
+        piv = lat.mat[r][r]
+        acc = target[r]
+        for t in range(r):
+            acc -= xs[t] * lat.mat[t][r]
+        xs.append(Fraction(acc, piv))
+    return xs
 
 
 def test_standard_order(alg103, o0_103):
@@ -134,9 +148,9 @@ def test_connecting_ideal_denominator_matches_rational_coordinates(p):
         d = 1
         for target in (o0.lattice, o2.lattice):
             for b in prod.basis():
-                coords = target.coords_of(b)
+                coords = coords_of(target, b)
                 d = lcm(d, *(c.denominator for c in coords))
-                den, ys = _span_coords(target.mat, [v * target.den for v in b.num], b.den)
+                den, ys = target.coordinates(b.num, b.den)
                 assert den == lcm(*(c.denominator for c in coords))
                 assert ys == [c * den for c in coords]
         assert connecting_ideal(o0, o2).lattice == prod.scale(d)
@@ -409,7 +423,7 @@ def test_order_rejects_non_orders(alg103, rows, den, message):
 
 def _contains_reference(lat, q):
     """Membership through the rational coordinates on the basis."""
-    return all(x.denominator == 1 for x in lat.coords_of(q))
+    return all(x.denominator == 1 for x in coords_of(lat, q))
 
 
 _small = st.integers(-12, 12)
@@ -442,6 +456,73 @@ def test_contains_matches_rational_coordinates(alg103, data):
                 for c in combo]
         other = Lattice4(alg103, rows, lat.den * m)
     assert lat.contains_lattice(other) == all(_contains_reference(lat, b) for b in other.basis())
+
+
+def _assert_kernel_matches_oracle(lat, qs):
+    """The kernel's membership and least-denominator coordinates agree with
+    `coords_of`, one vector at a time and as one batch of rows over a common
+    denominator.  Returns the oracle's membership verdicts."""
+    inside = []
+    for q in qs:
+        coords = coords_of(lat, q)
+        den = lcm(*(c.denominator for c in coords))
+        assert lat.coordinates(q.num, q.den) == (den, [c * den for c in coords])
+        inside.append(den == 1)
+        assert lat.contains(q) == inside[-1]
+    e = lcm(*(q.den for q in qs))
+    assert lat._contains_rows([[v * (e // q.den) for v in q.num] for q in qs], e) == all(inside)
+    return inside
+
+
+_KERNEL_PRIMES = [103, 503, 1019]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_membership_kernel_matches_rational_coordinates(data):
+    # full-rank lattices with negative entries over a denominator > 1, and
+    # vectors inside and outside them: integer combinations of the basis
+    # over a small divisor, some moved by a small step
+    alg = QuatAlgebra(data.draw(st.sampled_from(_KERNEL_PRIMES)))
+    entries = st.integers(-60, 60)
+    rows = data.draw(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=4, max_size=4))
+    assume(_det4(rows) != 0)
+    lat = Lattice4(alg, rows, data.draw(st.integers(2, 10 ** 6)))
+    assume(lat.den > 1)
+    qs = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        coeffs = data.draw(st.lists(entries, min_size=4, max_size=4))
+        q = sum((c * b for c, b in zip(coeffs[1:], lat.basis()[1:])), coeffs[0] * lat.basis()[0])
+        q /= data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            step = data.draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+            q += alg.quaternion(*step) / data.draw(st.integers(1, 10 ** 6))
+        qs.append(q)
+    _assert_kernel_matches_oracle(lat, qs)
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_membership_kernel_on_orders_with_large_denominators(p):
+    # right orders of sums of kernel ideals of norms 3^24 and 5^18, the
+    # orders a completion builds, with denominators of about 10^24
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 7)
+    for _ in range(3):
+        i11, i21 = random_left_ideal(o0, 3, 24, rng), random_left_ideal(o0, 5, 18, rng)
+        order = node_from_ideal(sum_kernel_ideal(i11, i21)).order
+        lat = order.lattice
+        assert lat.den >= 10 ** 20
+        basis = lat.basis()
+        # the 16 products lie in the order; over a small divisor or moved by
+        # a small step, most do not
+        qs = [x * y for x in basis for y in basis]
+        qs += [x / m for x in qs[:6] for m in (2, 3, 5)]
+        qs += [b + alg.quaternion(*(rng.randint(-1, 1) for _ in range(4))) / lat.den
+               for b in basis]
+        inside = _assert_kernel_matches_oracle(lat, qs)
+        assert all(inside[:16]) and not all(inside)
+        assert Order(lat) == order
 
 
 def _quaternions(alg):
