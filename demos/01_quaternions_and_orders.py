@@ -8,9 +8,8 @@ in the package.
 
 import random
 
-from quatisom import (QuatAlgebra, conjugate, ideal_norm, multiply_ideals,
-                      principal_ideal, random_left_ideal, reduced_norm,
-                      standard_extremal_order, unit_orders)
+from quatisom import (QuatAlgebra, multiply_ideals, principal_ideal, random_left_ideal,
+                      standard_extremal_order)
 
 p = 103
 alg = QuatAlgebra(p)
@@ -22,8 +21,8 @@ print("  j*i  =", j * i)
 
 # reduced norm is the positive definite form a0^2 + a1^2 + p(a2^2 + a3^2)
 x = alg.quaternion(6, 1, 1, -1)
-print(f"\nNrd(6 + i + j - k) = {reduced_norm(x)}  (= 3^5)")
-print("x * conj(x)       =", x * conjugate(x))
+print(f"\nNrd(6 + i + j - k) = {x.reduced_norm()}  (= 3^5)")
+print("x * conj(x)       =", x * x.conjugate())
 print("inverse check     :", x * x.inverse())
 
 # the extremal maximal order O0 = <1, i, (i+j)/2, (1+k)/2>
@@ -37,17 +36,16 @@ print("units of O0:", [str(u) for u in o0.units()])
 # a random integral left ideal of norm 3^5, as a rank-4 lattice in HNF
 rng = random.Random(1)
 ideal = random_left_ideal(o0, 3, 5, rng)
-print(f"\nrandom left O0-ideal of norm {ideal_norm(ideal)}:")
+print(f"\nrandom left O0-ideal of norm {ideal.nrd()}:")
 for b in ideal.basis():
     print("   ", b)
-left, right = unit_orders(ideal.lattice)
-print("left order is O0 again:", left == o0)
-print("right order is maximal:", right.is_maximal())
+print("left order is O0 again:", ideal.left_order() == o0)
+print("right order is maximal:", ideal.right_order().is_maximal())
 
 # I * conj(I) = Nrd(I) * O0, the basic norm identity
 prod = multiply_ideals(ideal, ideal.conjugate(), check_compatible=False)
-print("I * conj(I) = Nrd(I) * O0:", prod.lattice == o0.lattice.scale(ideal_norm(ideal)))
+print("I * conj(I) = Nrd(I) * O0:", prod.lattice == o0.lattice.scale(ideal.nrd()))
 
 # principal ideals: Nrd(O0 * x) = Nrd(x)
 px = principal_ideal(o0, x)
-print("Nrd(O0 * (6+i+j-k)) =", ideal_norm(px))
+print("Nrd(O0 * (6+i+j-k)) =", px.nrd())

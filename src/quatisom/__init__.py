@@ -2,13 +2,13 @@
 of supersingular elliptic curves, entirely on the quaternion side of the
 Deuring correspondence."""
 
-from .quat import QuatAlgebra, Quaternion, conjugate, multiply, reduced_norm, reduced_trace
-from .linalg import hnf, kernel_basis, lll_reduce, shortest_vector, snf_mod, solve_integer
+from .quat import QuatAlgebra, Quaternion
+from .linalg import hnf, kernel_basis, lll_reduce, shortest_vector, solve_integer
 from .orders import (Ideal, Lattice4, Order, SamplingBudgetError, connecting_ideal,
-                     ideal_norm, multiply_ideals, principal_ideal, random_left_ideal,
-                     standard_extremal_order, two_sided_prime, unit_orders)
+                     multiply_ideals, principal_ideal, random_left_ideal,
+                     standard_extremal_order, two_sided_prime)
 from .division import NotDivisibleError, integer_ideal_divide, principal_ideal_divide
-from .localization import LType, Splitting, l_type, l_type_of_ideal, local_generator, rgcd_hnf, split_order
+from .localization import Splitting, local_generator, rgcd_hnf, split_order
 from .normeq import cornacchia, equivalent_power_norm_ideal, represent_integer
 from .homframe import (Certificate, Mor, Mor2x2, Node, base_node, compose, dual,
                        extend_node, hom_lattice, kani_degree, kernel_ideal,

@@ -201,27 +201,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.ok else EXIT_VERIFY_FAILED
 
 
-def _run_one(func, args) -> int:
-    try:
-        return func(args)
-    except InputError as err:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as err:
-        # TypeError: a JSON value of the wrong shape, such as a number for an ideal
-        print(f"invalid input: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (SamplingBudgetError, CompletionPreconditionError) as err:
-        print(f"algorithm failed: {err}", file=sys.stderr)
-        return EXIT_ALGORITHM_FAILED
-    except ArithmeticError as err:  # an internal arithmetic fault
-        print(f"algorithm failed: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_ALGORITHM_FAILED
-    except VerificationError as err:
-        print(f"verification failed: {err}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once; `parse_args` keeps no state in it."""
@@ -239,20 +218,20 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
 
-    seeded = ("--seed", "--trials")  # only the randomized pipelines draw numbers
+    # only the randomized pipelines draw numbers, so only they take --seed
     for name, func, flags in (
         ("complete", cmd_complete, ()),
-        ("lowdisc", cmd_lowdisc, (*seeded, "--ell")),
-        ("isom-e0", cmd_isom_e0, seeded),
-        ("isom2", cmd_isom2, seeded),
-        ("isom-g", cmd_isom_g, (*seeded, "--g")),
+        ("lowdisc", cmd_lowdisc, ("--seed", "--ell")),
+        ("isom-e0", cmd_isom_e0, ("--seed",)),
+        ("isom2", cmd_isom2, ("--seed",)),
+        ("isom-g", cmd_isom_g, ("--seed", "--g")),
         ("verify", cmd_verify, ()),
     ):
         cmd = sub.add_parser(name)
         cmd.add_argument("--in", dest="infile", required=True)
         cmd.add_argument("--out", default=None)
         for flag in flags:
-            cmd.add_argument(flag, type=int, default=1 if flag == "--trials" else None)
+            cmd.add_argument(flag, type=int, default=None)
         cmd.set_defaults(func=func)
     return parser
 
@@ -262,22 +241,24 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # 0 after --help; a usage error, usage on stderr, is bad input
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
-
-    trials = getattr(args, "trials", 1)
-    if trials <= 1:
-        return _run_one(args.func, args)
-
-    # independent seeded trials, one after another; all must succeed
-    import copy
-
-    codes = []
-    for t in range(trials):
-        sub_args = copy.copy(args)
-        sub_args.seed = (args.seed if args.seed is not None else 0) + t
-        if sub_args.out:
-            sub_args.out = f"{args.out}.trial{t}"
-        codes.append(_run_one(args.func, sub_args))
-    return max(codes)
+    try:
+        return args.func(args)
+    except InputError as err:
+        print(f"invalid input: {err}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as err:
+        # TypeError: a JSON value of the wrong shape, such as a number for an ideal
+        print(f"invalid input: {err}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (SamplingBudgetError, CompletionPreconditionError) as err:
+        print(f"algorithm failed: {err}", file=sys.stderr)
+        return EXIT_ALGORITHM_FAILED
+    except ArithmeticError as err:  # an internal arithmetic fault
+        print(f"algorithm failed: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_ALGORITHM_FAILED
+    except VerificationError as err:
+        print(f"verification failed: {err}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -114,8 +114,8 @@ class Mor:
 
     `Mor(src, dst, elem)` checks the lattice condition frame(dst)*elem <=
     frame(src), i.e. that elem lies in `hom_lattice(src, dst)`.  So does
-    every morphism made from a raw quaternion: `identity_mor`, `zero_mor`,
-    `extend_node`, `make_automorphism`'s scalar entries, `mor_from_json`,
+    every morphism made from a raw quaternion: `extend_node`,
+    `make_automorphism`'s scalar entries, `mor_from_json`,
     completion entries and the unit twists of `verify_ideal_quadruple`.
     `compose`, `add_mor`, `scalar_mul` and `dual` skip it through the
     private `_derived=True`: hom lattices are closed under them (see
@@ -149,14 +149,6 @@ class Mor:
 
     def __repr__(self):
         return f"Mor({self.elem!r}, deg={self.degree()})"
-
-
-def identity_mor(node: Node) -> Mor:
-    return Mor(node, node, node.alg.one())
-
-
-def zero_mor(src: Node, dst: Node) -> Mor:
-    return Mor(src, dst, src.alg.zero())
 
 
 def compose(g: Mor, f: Mor) -> Mor:

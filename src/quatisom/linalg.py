@@ -3,10 +3,11 @@
 Provides row-style Hermite normal form with transform, by one exact
 pairwise-gcd elimination (a plain row subtraction when the pivot divides
 the entry, a Bezout step from `gcd` and a modular inverse otherwise, each
-on the columns from the pivot on), Smith normal form over Z/l^m, integer
-linear system solving, and, for positive definite forms
-in dimension <= 4, Cohen's integral LLL whose Gram-Schmidt data (the Gram
-determinants d and lambda) drives an integer Fincke-Pohst enumeration.
+on the columns from the pivot on), the Smith normal form over Z/l^m for an
+odd prime l (`snf_prime_power`), integer linear system solving, and, for
+positive definite forms in dimension <= 4, Cohen's integral LLL whose
+Gram-Schmidt data (the Gram determinants d and lambda) drives an integer
+Fincke-Pohst enumeration.
 
 Matrices are lists of lists of Python ints (rows); nothing here ever
 touches floating point.
@@ -24,15 +25,6 @@ Form = list[list[int | Fraction]]  # a quadratic form: integer or rational entri
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        ai = a[i]
-        out.append([sum(ai[t] * b[t][j] for t in range(inner)) for j in range(cols)])
-    return out
 
 
 def hnf(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -179,6 +171,7 @@ def solve_integer(a: IntMatrix, b: list[int] | None = None) -> IntegerSolution:
 
 
 def _val(x: int, ell: int, cap: int) -> int:
+    """The l-adic valuation of x, capped at cap (x = 0 gives cap)."""
     if x == 0:
         return cap
     v = 0
@@ -188,19 +181,12 @@ def _val(x: int, ell: int, cap: int) -> int:
     return v
 
 
-def snf_mod(mat: IntMatrix, modulus: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form over Z/l^m, the modulus given as l^m, l an odd prime.
+def snf_prime_power(mat: IntMatrix, ell: int, m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form over Z/l^m, l an odd prime.
 
     Returns (S, D, T) with S, T invertible mod l^m, S*mat*T = D mod l^m and
     D diagonal with entries l^d, valuations non-decreasing (0 stands for l^m).
     """
-    ok, ell, m = is_odd_prime_power(modulus)
-    if not ok:
-        raise ValueError(f"modulus must be a power of an odd prime, got {modulus}")
-    return snf_prime_power(mat, ell, m)
-
-
-def snf_prime_power(mat: IntMatrix, ell: int, m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     from .quat import is_prime
 
     if ell == 2 or not is_prime(ell):
@@ -261,39 +247,9 @@ def snf_prime_power(mat: IntMatrix, ell: int, m: int) -> tuple[IntMatrix, IntMat
     return s, d, t
 
 
-def is_odd_prime_power(n: int) -> tuple[bool, int, int]:
-    """Check n = l^m with l an odd prime, m >= 1; returns (ok, l, m)."""
-    from .quat import is_prime
-
-    if n < 3 or n % 2 == 0:
-        return (False, 0, 0)
-    if is_prime(n):
-        return (True, n, 1)
-    for ell in range(3, isqrt(n) + 1, 2):
-        if n % ell == 0:
-            if not is_prime(ell):
-                return (False, 0, 0)
-            m = 0
-            while n % ell == 0:
-                n //= ell
-                m += 1
-            return (True, ell, m) if n == 1 else (False, 0, 0)
-    return (False, 0, 0)
-
-
 # ---------------------------------------------------------------------------
 # Exact lattice reduction and enumeration
 # ---------------------------------------------------------------------------
-
-
-def gram_of(basis: IntMatrix, form: Form) -> list[list[int | Fraction]]:
-    """Gram matrix basis * form * basis^T, exact; integer for an integer form."""
-    n = len(basis)
-    d = len(form)
-    fb = []
-    for row in basis:
-        fb.append([sum(row[t] * form[t][j] for t in range(d)) for j in range(d)])
-    return [[sum(fb[i][t] * basis[j][t] for t in range(d)) for j in range(n)] for i in range(n)]
 
 
 def _form_dot(form: Form):

@@ -1,12 +1,10 @@
 """l-adic machinery: splitting O0 (x) Z_l = Mat_2 truncated at Z/l^m,
-right-gcd of 2x2 Hermite normal forms, l-types and local ideal generators.
+right-gcd of 2x2 Hermite normal forms and local ideal generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linalg import hnf_rows, snf_prime_power
+from .linalg import _val, hnf_rows, snf_prime_power
 from .orders import Ideal, Order
 from .quat import Quaternion, is_prime
 
@@ -22,10 +20,6 @@ def _check(ok: bool, what: str):
     """Raise VerificationError unless ok; unlike assert, survives python -O."""
     if not ok:
         raise VerificationError(what)
-
-
-class PrecisionError(ValueError):
-    """A valuation reached the working precision l^m."""
 
 
 def _sqrt_mod_prime(a: int, ell: int) -> int | None:
@@ -64,37 +58,15 @@ def _mat_mul2(a: Mat2, b: Mat2, mod: int) -> Mat2:
     )
 
 
-def _val_cap(x: int, ell: int, cap: int) -> int:
-    x = abs(x)
-    if x == 0:
-        return cap
-    v = 0
-    while x % ell == 0 and v < cap:
-        x //= ell
-        v += 1
-    return v
-
-
-@dataclass(frozen=True)
-class LType:
-    """Sorted pair of valuations of the Smith invariant factors."""
-
-    d1: int
-    d2: int
-
-    def __post_init__(self):
-        if self.d1 > self.d2:
-            raise ValueError("l-type valuations must be sorted")
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.d1, self.d2)
-
-
 class Splitting:
     """Ring isomorphism O0/l^m O0 -> Mat_2(Z/l^m Z) for an odd prime l != p.
 
     i maps to [[0,1],[-1,0]] and j to [[a,b],[b,-a]] with a^2+b^2 = -p
-    mod l^m, found by search mod l followed by Hensel lifting.
+    mod l^m, found by search mod l followed by Hensel lifting; k = ij then
+    maps to [[b,-a],[-a,-b]].  Both directions are closed forms: with
+    s = (m00-m11)/2 and t = (m01+m10)/2 the preimage of a matrix is
+    x0 = (m00+m11)/2, x1 = (m01-m10)/2, x2 = -(a*s + b*t)/p and
+    x3 = -(b*s - a*t)/p, because a*s + b*t = (a^2+b^2)*x2.
     """
 
     def __init__(self, o0: Order, ell: int, m: int):
@@ -107,17 +79,7 @@ class Splitting:
         self.ell = ell
         self.m = m
         self.mod = ell ** m
-        a, b = self._solve_a_b(p, ell, m)
-        mod = self.mod
-        img_one: Mat2 = ((1, 0), (0, 1))
-        img_i: Mat2 = ((0, 1), (mod - 1, 0))
-        img_j: Mat2 = ((a % mod, b % mod), (b % mod, (-a) % mod))
-        img_k = _mat_mul2(img_i, img_j, mod)
-        self.images = (img_one, img_i, img_j, img_k)
-        # columns of phi: images of the basis 1, i, j, k flattened
-        phi = [[self.images[c][r // 2][r % 2] for c in range(4)] for r in range(4)]
-        self._phi = phi
-        self._phi_inv = self._invert_mod(phi, mod)
+        self.a, self.b = self._solve_a_b(p, ell, m)
 
     @staticmethod
     def _solve_a_b(p: int, ell: int, m: int) -> tuple[int, int]:
@@ -139,45 +101,27 @@ class Splitting:
         _check((a * a + b * b + p) % (ell ** m) == 0, "the Hensel lift must split mod l^m")
         return a, b
 
-    @staticmethod
-    def _invert_mod(mat, mod):
-        n = len(mat)
-        aug = [[mat[r][c] % mod for c in range(n)] + [1 if r == c else 0 for c in range(n)]
-               for r in range(n)]
-        for c in range(n):
-            piv = inv = None
-            for r in range(c, n):
-                try:
-                    inv = pow(aug[r][c], -1, mod)
-                except ValueError:
-                    continue
-                piv = r
-                break
-            if piv is None:
-                raise ValueError("matrix not invertible mod l^m")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            aug[c] = [v * inv % mod for v in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [(v - f * w) % mod for v, w in zip(aug[r], aug[c])]
-        return [row[n:] for row in aug]
-
     def to_matrix(self, x: Quaternion) -> Mat2:
         """Image of x in Mat_2(Z/l^m); denominators must be prime to l."""
         mod = self.mod
         if x.den % self.ell == 0:
             raise ValueError("denominator not invertible mod l^m")
         inv = pow(x.den, -1, mod)
-        ent = [sum(self._phi[r][c] * x.num[c] for c in range(4)) * inv % mod for r in range(4)]
-        return ((ent[0], ent[1]), (ent[2], ent[3]))
+        a, b = self.a, self.b
+        x0, x1, x2, x3 = x.num
+        s, t = a * x2 + b * x3, b * x2 - a * x3
+        return (((x0 + s) * inv % mod, (x1 + t) * inv % mod),
+                ((t - x1) * inv % mod, (x0 - s) * inv % mod))
 
     def from_matrix(self, mat: Mat2) -> Quaternion:
         """Lift of the preimage, coordinates reduced into [0, l^m)."""
-        mod = self.mod
-        vec = [mat[0][0], mat[0][1], mat[1][0], mat[1][1]]
-        co = [sum(self._phi_inv[r][c] * vec[c] for c in range(4)) % mod for r in range(4)]
-        return self.order.alg.quaternion(*co)
+        mod, a, b = self.mod, self.a, self.b
+        half, inv_neg_p = (mod + 1) // 2, pow(-self.order.alg.p, -1, mod)
+        (m00, m01), (m10, m11) = mat
+        s, t = (m00 - m11) * half, (m01 + m10) * half
+        return self.order.alg.quaternion(
+            (m00 + m11) * half % mod, (m01 - m10) * half % mod,
+            (a * s + b * t) * inv_neg_p % mod, (b * s - a * t) * inv_neg_p % mod)
 
 
 def split_order(o0: Order, ell: int, m: int) -> Splitting:
@@ -214,7 +158,7 @@ def hnf2_mod(mat: Mat2, ell: int, m: int) -> Mat2:
     # h has two rows [[g1, t], [0, g2]] with g1, g2 dividing l^m
     g1, t = h[0]
     g2 = h[1][1] if len(h) > 1 else mod
-    v1, v2 = _val_cap(g1, ell, m), _val_cap(g2, ell, m)
+    v1, v2 = _val(g1, ell, m), _val(g2, ell, m)
     u1 = g1 // ell ** v1
     piv2 = ell ** v2
     r = t * pow(u1, -1, mod) % piv2 if piv2 > 1 else 0
@@ -231,30 +175,21 @@ def rgcd_hnf(a1: Mat2, a2: Mat2, ell: int) -> Mat2:
     if not _is_normal_form(a1, ell) or not _is_normal_form(a2, ell):
         raise ValueError("inputs must be in the normal form [[l^n, r], [0, l^m]]")
     cap = max(a1[1][1], a2[1][1]).bit_length() * 2 + 4  # safe valuation cap
-    n1, n2 = _val_cap(a1[0][0], ell, cap), _val_cap(a2[0][0], ell, cap)
+    n1, n2 = _val(a1[0][0], ell, cap), _val(a2[0][0], ell, cap)
     if n2 < n1:
         a1, a2 = a2, a1
         n1, n2 = n2, n1
     r1, r2 = a1[0][1], a2[0][1]
-    m1, m2 = _val_cap(a1[1][1], ell, cap), _val_cap(a2[1][1], ell, cap)
+    m1, m2 = _val(a1[1][1], ell, cap), _val(a2[1][1], ell, cap)
     diff = r2 - ell ** (n2 - n1) * r1
-    mhat = min(m1, m2) if diff == 0 else min(m1, m2, _val_cap(diff, ell, cap))
+    mhat = min(m1, m2) if diff == 0 else min(m1, m2, _val(diff, ell, cap))
     piv = ell ** mhat
     return ((ell ** n1, r1 % piv), (0, piv))
 
 
 # ---------------------------------------------------------------------------
-# l-types
+# LocalGenerator
 # ---------------------------------------------------------------------------
-
-
-def _ltype_of_matrix(mat: Mat2, splitting: Splitting) -> LType:
-    _, d, _ = snf_prime_power([[mat[0][0], mat[0][1]], [mat[1][0], mat[1][1]]],
-                              splitting.ell, splitting.m)
-    vals = sorted(_val_cap(d[t][t], splitting.ell, splitting.m) for t in range(2))
-    if vals[1] >= splitting.m:
-        raise PrecisionError("valuation reaches precision l^m; raise m")
-    return LType(vals[0], vals[1])
 
 
 def _local_normal_form_of_ideal(ideal: Ideal, splitting: Splitting) -> Mat2:
@@ -265,28 +200,6 @@ def _local_normal_form_of_ideal(ideal: Ideal, splitting: Splitting) -> Mat2:
     return acc
 
 
-def l_type(x, splitting: Splitting) -> LType:
-    """l-type of a quaternion or ideal: valuations of the invariant factors."""
-    if isinstance(x, Quaternion):
-        return _ltype_of_matrix(splitting.to_matrix(x), splitting)
-    if isinstance(x, Ideal):
-        nf = _local_normal_form_of_ideal(x, splitting)
-        return _ltype_of_matrix(nf, splitting)
-    raise TypeError("l_type expects a Quaternion or an Ideal")
-
-
-def l_type_of_ideal(ideal: Ideal, ell: int) -> LType:
-    """l-type at automatically sufficient precision v_l(Nrd(I)) + 1."""
-    v = _val_cap(ideal.nrd(), ell, ideal.nrd().bit_length() + 2)
-    split = Splitting(ideal.left_order(), ell, v + 1)
-    return l_type(ideal, split)
-
-
-# ---------------------------------------------------------------------------
-# LocalGenerator
-# ---------------------------------------------------------------------------
-
-
 def local_generator(ell: int, ideal: Ideal, alpha: Quaternion) -> tuple[Quaternion, Quaternion]:
     """Given a left O0-ideal I of norm l^m with l-type (0, m) and alpha of
     reduced norm l^m, return (alpha, x) with Nrd(x) prime to l and alpha*x
@@ -294,7 +207,7 @@ def local_generator(ell: int, ideal: Ideal, alpha: Quaternion) -> tuple[Quaterni
     """
     o0 = ideal.left_order()
     n = ideal.nrd()
-    m = _val_cap(n, ell, n.bit_length() + 2)
+    m = _val(n, ell, n.bit_length() + 2)
     if ell ** m != n:
         raise ValueError(f"ideal norm {n} is not a power of {ell}")
     if alpha.reduced_norm() != n:

@@ -311,10 +311,6 @@ def right_order(lat: Lattice4) -> "Order":
     return _unit_order(lat, left=False)
 
 
-def unit_orders(lat: Lattice4) -> tuple["Order", "Order"]:
-    return left_order(lat), right_order(lat)
-
-
 class Order:
     """An order in B_{p,oo}.
 
@@ -479,9 +475,6 @@ class Ideal:
             self._nrd = n
         return self._nrd
 
-    def is_integral(self) -> bool:
-        return self.left_order().lattice.contains_lattice(self.lattice)
-
     def conjugate(self) -> "Ideal":
         """conj(I), reduced once and kept: its orders are I's swapped, and
         its conjugate is I itself."""
@@ -490,19 +483,6 @@ class Ideal:
                                nrd=self._nrd)
             self._conj._conj = self
         return self._conj
-
-    def scale(self, c) -> "Ideal":
-        nrd = None
-        if self._nrd is not None and isinstance(c, int) and c > 0:
-            nrd = self._nrd * c * c
-        return Ideal(self.lattice.scale(c), left=self._left, right=self._right, nrd=nrd)
-
-    def add(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.lattice.add(other.lattice))
-
-
-def ideal_norm(ideal: Ideal) -> int:
-    return ideal.nrd()
 
 
 def multiply_ideals(i: Ideal, j: Ideal, *, check_compatible: bool = True) -> Ideal:

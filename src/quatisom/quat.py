@@ -259,18 +259,3 @@ class Quaternion:
             terms.append(s if not terms or s.startswith("-") else "+" + s)
         return "".join(terms) if terms else "0"
 
-
-def multiply(x: Quaternion, y: Quaternion) -> Quaternion:
-    return x * y
-
-
-def conjugate(x: Quaternion) -> Quaternion:
-    return x.conjugate()
-
-
-def reduced_norm(x: Quaternion) -> Fraction:
-    return x.reduced_norm()
-
-
-def reduced_trace(x: Quaternion) -> Fraction:
-    return x.reduced_trace()

@@ -63,7 +63,7 @@ def test_forged_ideal_breaks_its_condition(completion):
     res, o2 = completion
     cert = res.certificate
     # 3*I12 is a sublattice: conj(A)*xi/n is no longer inside B
-    thrice = replace(cert, i12=cert.i12.scale(3))
+    thrice = replace(cert, i12=Ideal(cert.i12.lattice.scale(3)))
     assert _conditions(thrice, o2) == (True, False, True)
     assert not thrice.verify(o2)
     # I12/3 is a superlattice: A*B leaves O2*xi
@@ -118,7 +118,7 @@ def test_forged_files_exit_1(completion, tmp_path):
     third["ideals"]["I12"].update(denominator=str(lat.den),
                                   basis=[[str(v) for v in r] for r in lat.mat])
     assert _verify_file(third, tmp_path / "third.json") == 3
-    forged = {"3*I12": {"I12": ideal_to_json(cert.i12.scale(3))},
+    forged = {"3*I12": {"I12": ideal_to_json(Ideal(cert.i12.lattice.scale(3)))},
               "I12 + (Nrd(I12)/q)*O_L(I12)": {"I12": ideal_to_json(wider)},
               "I12 := I22": {"I12": data["ideals"]["I22"]},
               "I22 := I12": {"I22": data["ideals"]["I12"]},

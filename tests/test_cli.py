@@ -218,15 +218,6 @@ def test_missing_file_is_input_error():
     assert run_cli(["verify", "--in", "/nonexistent/xyz.json"]) == 3
 
 
-def test_trials_flag(tmp_path):
-    inst = tmp_path / "inst.json"
-    assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "3", "--seed", "13",
-                    "--out", str(inst)]) == 0
-    out = tmp_path / "m.json"
-    assert run_cli(["isom-e0", "--in", str(inst), "--seed", "1", "--trials", "3",
-                    "--out", str(out)]) == 0
-
-
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "quatisom.cli", "--help"],
                           capture_output=True, text=True, env=ENV)

@@ -7,15 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatisom import QuatAlgebra, random_left_ideal, standard_extremal_order
-from quatisom.linalg import (enumerate_up_to, gram_of, hnf, hnf_rows, identity_matrix,
-                             is_odd_prime_power, lll_reduce, shortest_vector, snf_mod,
-                             solve_integer, vectors_of_value)
+from quatisom.linalg import (enumerate_up_to, hnf, hnf_rows, identity_matrix, lll_reduce,
+                             shortest_vector, snf_prime_power, solve_integer, vectors_of_value)
 from quatisom.orders import nrd_gram
 
 
 def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
+
+
+def gram_of(basis, form):
+    """Gram matrix basis * form * basis^T, exact; integer for an integer form."""
+    n = len(basis)
+    d = len(form)
+    fb = []
+    for row in basis:
+        fb.append([sum(row[t] * form[t][j] for t in range(d)) for j in range(d)])
+    return [[sum(fb[i][t] * basis[j][t] for t in range(d)) for j in range(n)] for i in range(n)]
 
 
 def det(m):
@@ -219,14 +228,14 @@ def test_solve_integer_random():
 
 
 def test_snf_mod_examples():
-    s, d, t = snf_mod([[1, 0], [0, 9]], 27)
+    s, d, t = snf_prime_power([[1, 0], [0, 9]], 3, 3)
     assert d == [[1, 0], [0, 9]]
-    s, d, t = snf_mod([[9, 0], [0, 9]], 243)
+    s, d, t = snf_prime_power([[9, 0], [0, 9]], 3, 5)
     assert d == [[9, 0], [0, 9]]
     with pytest.raises(ValueError):
-        snf_mod([[1, 0], [0, 1]], 8)
+        snf_prime_power([[1, 0], [0, 1]], 2, 3)
     with pytest.raises(ValueError):
-        snf_mod([[1, 0], [0, 1]], 15)
+        snf_prime_power([[1, 0], [0, 1]], 15, 1)
 
 
 def test_snf_mod_random():
@@ -234,7 +243,7 @@ def test_snf_mod_random():
     mod = 3 ** 5
     for _ in range(120):
         m = [[rng.randrange(mod) for _ in range(2)] for _ in range(2)]
-        s, d, t = snf_mod(m, mod)
+        s, d, t = snf_prime_power(m, 3, 5)
         prod = mat_mul(mat_mul(s, m), t)
         assert [[v % mod for v in row] for row in prod] == [[v % mod for v in row] for row in d]
         assert det(s) % 3 != 0 and det(t) % 3 != 0
@@ -252,14 +261,6 @@ def test_snf_mod_random():
                 assert e == 1
             vals.append(v)
         assert vals[0] <= vals[1]
-
-
-def test_is_odd_prime_power():
-    assert is_odd_prime_power(3) == (True, 3, 1)
-    assert is_odd_prime_power(243) == (True, 3, 5)
-    assert is_odd_prime_power(125) == (True, 5, 3)
-    assert is_odd_prime_power(15)[0] is False
-    assert is_odd_prime_power(8)[0] is False
 
 
 def test_shortest_vector_examples():

@@ -4,10 +4,10 @@ from itertools import permutations
 
 import pytest
 
-from quatisom import (l_type, l_type_of_ideal, local_generator, random_left_ideal,
-                      rgcd_hnf, split_order)
+from quatisom import QuatAlgebra, local_generator, random_left_ideal, rgcd_hnf, split_order
 from quatisom.linalg import hnf_rows
 from quatisom.localization import _mat_mul2
+from quatisom.orders import standard_extremal_order
 
 
 def test_split_order_relations(o0_103):
@@ -59,8 +59,45 @@ def _to_matrix_reference(sp, x):
         if c.denominator % sp.ell == 0:
             raise ValueError("denominator not invertible mod l^m")
         co.append(c.numerator * pow(c.denominator, -1, sp.mod) % sp.mod)
-    ent = [sum(sp._phi[r][c] * co[c] for c in range(4)) % sp.mod for r in range(4)]
+    phi = _phi(sp)
+    ent = [sum(phi[r][c] * co[c] for c in range(4)) % sp.mod for r in range(4)]
     return ((ent[0], ent[1]), (ent[2], ent[3]))
+
+
+def _phi(sp):
+    """The matrix of the splitting: column c is the image of the c-th basis
+    element 1, i, j, k, flattened row by row, with i -> [[0,1],[-1,0]],
+    j -> [[a,b],[b,-a]] and k -> the product of the two."""
+    mod = sp.mod
+    img_i = ((0, 1), (mod - 1, 0))
+    img_j = ((sp.a % mod, sp.b % mod), (sp.b % mod, -sp.a % mod))
+    images = (((1, 0), (0, 1)), img_i, img_j, _mat_mul2(img_i, img_j, mod))
+    return [[images[c][r // 2][r % 2] for c in range(4)] for r in range(4)]
+
+
+def _invert_mod(mat, mod):
+    """Gauss-Jordan inverse of a square matrix mod l^m, pivoting on units."""
+    n = len(mat)
+    aug = [[mat[r][c] % mod for c in range(n)] + [1 if r == c else 0 for c in range(n)]
+           for r in range(n)]
+    for c in range(n):
+        piv = inv = None
+        for r in range(c, n):
+            try:
+                inv = pow(aug[r][c], -1, mod)
+            except ValueError:
+                continue
+            piv = r
+            break
+        if piv is None:
+            raise ValueError("matrix not invertible mod l^m")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [v * inv % mod for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [(v - f * w) % mod for v, w in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
 
 
 @pytest.mark.parametrize("ell, m", [(3, 5), (5, 2), (7, 3)])
@@ -89,6 +126,29 @@ def test_splitting_roundtrip(o0_103):
     sp = split_order(o0_103, 3, 4)
     for b in o0_103.basis():
         assert sp.to_matrix(sp.from_matrix(sp.to_matrix(b))) == sp.to_matrix(b)
+
+
+@pytest.mark.parametrize("p", [103, 1019, 2 ** 61 + 15])
+@pytest.mark.parametrize("ell, m", [(3, 1), (3, 9), (5, 4), (13, 2)])
+def test_splitting_closed_form_against_gauss_jordan(p, ell, m):
+    # the closed-form preimage is the inverse of phi mod l^m, which is unique
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    sp = split_order(o0, ell, m)
+    mod = sp.mod
+    phi_inv = _invert_mod(_phi(sp), mod)
+    rng = random.Random(p * ell + m)
+    for _ in range(50):
+        mat = tuple(tuple(rng.randrange(mod) for _ in range(2)) for _ in range(2))
+        x = sp.from_matrix(mat)
+        vec = [mat[0][0], mat[0][1], mat[1][0], mat[1][1]]
+        assert x.den == 1
+        assert list(x.num) == [sum(phi_inv[r][c] * vec[c] for c in range(4)) % mod
+                               for r in range(4)]
+        assert sp.to_matrix(x) == mat
+        # y in O0 may have denominator 2, which is a unit mod l^m
+        y = o0.alg.quaternion(*(Fraction(rng.randint(-p, p), 2) for _ in range(4)))
+        back = sp.from_matrix(sp.to_matrix(y))
+        assert all((b * y.den - a) % mod == 0 for a, b in zip(y.num, back.num))
 
 
 def test_rgcd_examples():
@@ -161,43 +221,6 @@ def test_rgcd_associative_commutative():
 
         results = {fold(list(p)) for p in permutations(mats)}
         assert len(results) == 1
-
-
-def test_l_type_scalars(o0_103):
-    sp = split_order(o0_103, 3, 4)
-    alg = o0_103.alg
-    assert l_type(alg.quaternion(9), sp).as_tuple() == (2, 2)
-    assert l_type(alg.quaternion(3), sp).as_tuple() == (1, 1)
-    with pytest.raises(ValueError):
-        l_type(alg.quaternion(81), sp)  # valuation reaches the precision
-
-
-def test_l_type_of_ideals(o0_103):
-    rng = random.Random(44)
-    ideal = random_left_ideal(o0_103, 3, 5, rng)
-    assert l_type_of_ideal(ideal, 3).as_tuple() == (0, 5)
-    scaled = ideal.scale(3)
-    assert l_type_of_ideal(scaled, 3).as_tuple() == (1, 6)
-
-
-def test_l_type_independent_of_splitting(o0_103):
-    # two splittings from different precisions/lifts agree on random elements
-    rng = random.Random(45)
-    alg = o0_103.alg
-    sp1 = split_order(o0_103, 3, 6)
-    sp2 = split_order(o0_103, 3, 7)
-    for _ in range(40):
-        x = alg.quaternion(*(rng.randint(-40, 40) for _ in range(4)))
-        if x.is_zero():
-            continue
-        n = int(x.reduced_norm())
-        v = 0
-        while n % 3 == 0:
-            n //= 3
-            v += 1
-        if v >= 5:
-            continue
-        assert l_type(x, sp1) == l_type(x, sp2)
 
 
 def test_local_generator_trivial(o0_103, alg103):

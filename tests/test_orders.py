@@ -7,9 +7,9 @@ from math import isqrt, lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quatisom import (Ideal, Lattice4, QuatAlgebra, connecting_ideal, ideal_norm,
-                      multiply_ideals, node_from_ideal, principal_ideal, random_left_ideal,
-                      standard_extremal_order, sum_kernel_ideal, two_sided_prime, unit_orders)
+from quatisom import (Ideal, Lattice4, QuatAlgebra, connecting_ideal, multiply_ideals,
+                      node_from_ideal, principal_ideal, random_left_ideal,
+                      standard_extremal_order, sum_kernel_ideal, two_sided_prime)
 from quatisom.cli import main
 from quatisom.orders import Order, _det4, _lattice_mul, left_order, right_order
 from quatisom.quat import qmul
@@ -72,23 +72,22 @@ def test_lattice_canonical_equality(alg103):
 
 
 def test_ideal_norm_paper_values(o0_103, o0_503, alg103, example_p503):
-    assert ideal_norm(o0_103.one_ideal()) == 1
+    assert o0_103.one_ideal().nrd() == 1
     assert example_p503["I11"].nrd() == 729
     assert example_p503["I21"].nrd() == 625
     a = alg103.quaternion(6, 1, 1, -1)
-    assert ideal_norm(principal_ideal(o0_103, a)) == 243
+    assert principal_ideal(o0_103, a).nrd() == 243
 
 
 def test_unit_orders(o0_103, alg103):
-    ol, orr = unit_orders(o0_103.lattice)
-    assert ol == o0_103 and orr == o0_103
+    assert left_order(o0_103.lattice) == o0_103
+    assert right_order(o0_103.lattice) == o0_103
     a = alg103.quaternion(6, 1, 1, -1)
     ideal = principal_ideal(o0_103, a)
-    ol, orr = unit_orders(ideal.lattice)
-    assert ol == o0_103
+    assert left_order(ideal.lattice) == o0_103
     # right order of O0*a is a^-1 O0 a
     conj = o0_103.lattice.lmul_q(a.inverse()).rmul_q(a)
-    assert orr.lattice == conj
+    assert right_order(ideal.lattice).lattice == conj
 
 
 def test_left_order_of_random_ideals(o0_103):
@@ -96,7 +95,7 @@ def test_left_order_of_random_ideals(o0_103):
     for _ in range(5):
         ideal = random_left_ideal(o0_103, 3, 4, rng)
         assert left_order(ideal.lattice) == o0_103
-        assert ideal.is_integral()
+        assert ideal.left_order().lattice.contains_lattice(ideal.lattice)
 
 
 def test_multiply_ideals(o0_103):
@@ -130,7 +129,7 @@ def test_connecting_ideal(o0_103, alg103):
         conn = connecting_ideal(o0_103, o2)
         assert conn.left_order() == o0_103
         assert conn.right_order() == o2
-        assert conn.is_integral()
+        assert conn.left_order().lattice.contains_lattice(conn.lattice)
         # Nrd(I) = [O1 : O1 n O2], and I = d*O1*O2 with d = Nrd(I)
         assert conn.nrd() == o0_103.lattice.intersect(o2.lattice).index_in(o0_103.lattice)
         assert conn.lattice.index_in(o0_103.lattice.mul(o2.lattice)) == conn.nrd() ** 4
@@ -162,9 +161,9 @@ def test_random_left_ideal(o0_103):
     ideal = random_left_ideal(o0_103, 3, 5, rng)
     assert ideal.nrd() == 243
     assert ideal.left_order() == o0_103
-    assert ideal.is_integral()
-    from quatisom.localization import l_type_of_ideal
-    assert l_type_of_ideal(ideal, 3).as_tuple() == (0, 5)
+    assert ideal.left_order().lattice.contains_lattice(ideal.lattice)
+    # l-type (0, 5): of norm 3^5 and not inside 3*O0
+    assert not o0_103.lattice.scale(3).contains_lattice(ideal.lattice)
     # determinism under the same seed
     r1, r2 = random.Random(99), random.Random(99)
     assert random_left_ideal(o0_103, 3, 4, r1) == random_left_ideal(o0_103, 3, 4, r2)
@@ -381,8 +380,8 @@ def test_unit_orders_match_closure_checked_reference(p):
     for ell, m in ((3, 3), (5, 2), (7, 2), (3, 5)):
         ideal = random_left_ideal(o0, ell, m, rng)
         # the conjugate is a left ideal of O_R(ideal), an order other than O0
-        for x in (ideal, ideal.conjugate(), ideal.scale(Fraction(1, 3))):
-            assert _assert_unit_orders_match_reference(x.lattice, ideal.nrd())
+        for lat in (ideal.lattice, ideal.conjugate().lattice, ideal.lattice.scale(Fraction(1, 3))):
+            assert _assert_unit_orders_match_reference(lat, ideal.nrd())
 
 
 @settings(max_examples=60, deadline=None)
