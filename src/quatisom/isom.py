@@ -22,6 +22,7 @@ from math import gcd, isqrt
 from .homframe import (Certificate, Mor, Mor2x2, VerificationError,  # noqa: F401 (re-exported)
                        _check, base_node, dual, extend_node, kani_degree,
                        kernel_ideal_equals, mat_compose, node_from_ideal, swap_rows, transpose)
+from .linalg import _val
 from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
 from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, multiply_ideals,
@@ -261,10 +262,8 @@ def low_discriminant_isomorphism(n1p, ell: int,
         try:
             i11, beta = equivalent_power_norm_ideal(n1p.frame, ell, rng,
                                                     force_rebuild=attempt > 0)
-            m, t = 0, i11.nrd()
-            while t % ell == 0:
-                t //= ell
-                m += 1
+            n11 = i11.nrd()
+            m = _val(n11, ell, n11.bit_length())
             for _ in range(_LOWDISC_ATTEMPTS):
                 alpha = represent_integer(o0, ell ** m, rng)
                 if m == 0 or not o0.lattice.scale(ell).contains(alpha):

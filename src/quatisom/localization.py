@@ -1,5 +1,6 @@
-"""l-adic machinery: splitting O0 (x) Z_l = Mat_2 truncated at Z/l^m,
-right-gcd of 2x2 Hermite normal forms and local ideal generators.
+"""l-adic machinery: square roots mod l and their Hensel lift, splitting
+O0 (x) Z_l = Mat_2 truncated at Z/l^m, right-gcd of 2x2 Hermite normal forms
+and local ideal generators.
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ def _sqrt_mod_prime(a: int, ell: int) -> int | None:
     return r
 
 
+def _hensel_sqrt(a: int, ell: int, e: int, r: int) -> int:
+    """Lift r with r^2 = a mod l to the unique root = r mod l^e (l odd, a a unit mod l)."""
+    mod = ell
+    for _ in range(e - 1):
+        mod *= ell
+        f = (r * r - a) % mod
+        r = (r - f * pow(2 * r, -1, mod)) % mod
+    return r
+
+
 def _mat_mul2(a: Mat2, b: Mat2, mod: int) -> Mat2:
     return (
         ((a[0][0] * b[0][0] + a[0][1] * b[1][0]) % mod,
@@ -91,13 +102,7 @@ class Splitting:
                 break
         else:
             raise ValueError("no splitting pair found mod l")
-        # Hensel: fix a, lift b with 2b invertible
-        mod = ell
-        for _ in range(m - 1):
-            mod *= ell
-            f = (a * a + b * b + p) % mod
-            step = (-f * pow(2 * b, -1, mod)) % mod
-            b = (b + step) % mod
+        b = _hensel_sqrt(-p - a * a, ell, m, b)  # fix a, lift b with 2b invertible
         _check((a * a + b * b + p) % (ell ** m) == 0, "the Hensel lift must split mod l^m")
         return a, b
 
@@ -138,12 +143,7 @@ def _is_normal_form(a: Mat2, ell: int) -> bool:
     if z != 0:
         return False
     for v in (x, y):
-        if v <= 0:
-            return False
-        t = v
-        while t % ell == 0:
-            t //= ell
-        if t != 1:
+        if v <= 0 or ell ** _val(v, ell, v.bit_length()) != v:
             return False
     return 0 <= r < y
 
@@ -174,17 +174,14 @@ def rgcd_hnf(a1: Mat2, a2: Mat2, ell: int) -> Mat2:
     """
     if not _is_normal_form(a1, ell) or not _is_normal_form(a2, ell):
         raise ValueError("inputs must be in the normal form [[l^n, r], [0, l^m]]")
-    cap = max(a1[1][1], a2[1][1]).bit_length() * 2 + 4  # safe valuation cap
-    n1, n2 = _val(a1[0][0], ell, cap), _val(a2[0][0], ell, cap)
-    if n2 < n1:
+    if a2[0][0] < a1[0][0]:
         a1, a2 = a2, a1
-        n1, n2 = n2, n1
-    r1, r2 = a1[0][1], a2[0][1]
-    m1, m2 = _val(a1[1][1], ell, cap), _val(a2[1][1], ell, cap)
-    diff = r2 - ell ** (n2 - n1) * r1
-    mhat = min(m1, m2) if diff == 0 else min(m1, m2, _val(diff, ell, cap))
-    piv = ell ** mhat
-    return ((ell ** n1, r1 % piv), (0, piv))
+    (x1, r1), (_, y1) = a1
+    (x2, r2), (_, y2) = a2
+    # pivots are exact powers of l: l^(n2-n1) = x2/x1 and l^mhat = min(y1, y2, l^val(diff))
+    diff = r2 - x2 // x1 * r1
+    piv = min(y1, y2) if diff == 0 else min(y1, y2, ell ** _val(diff, ell, diff.bit_length()))
+    return ((x1, r1 % piv), (0, piv))
 
 
 # ---------------------------------------------------------------------------

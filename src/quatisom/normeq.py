@@ -1,4 +1,5 @@
-"""Norm-equation solvers: Cornacchia, RepresentInteger over the extremal
+"""Norm-equation solvers: Cornacchia (square roots modulo q^e from one
+routine for every prime q, 2 included), RepresentInteger over the extremal
 order, and equivalent ideals of prescribed l-power norm (desk-scale KLPT
 for the special order, each round through its own prime norm N, its strong
 approximation one deterministic walk over the finite disk of candidates).
@@ -15,11 +16,11 @@ from functools import partial
 from itertools import islice, product
 from math import gcd, isqrt
 
-from .linalg import hnf_rows, lll_reduce
-from .localization import _check, _sqrt_mod_prime
+from .linalg import _val, hnf_rows, lll_reduce
+from .localization import _check, _hensel_sqrt, _sqrt_mod_prime
 from .orders import (Ideal, Order, SamplingBudgetError, nrd_gram,
                      standard_extremal_order)
-from .quat import Quaternion, is_prime
+from .quat import Quaternion, _jacobi, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -27,77 +28,24 @@ from .quat import Quaternion, is_prime
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_mod_prime_power(a: int, ell: int, e: int) -> list[int]:
-    """All x in [0, l^e) with x^2 = a mod l^e, for odd prime l."""
-    mod = ell ** e
-    a %= mod
-    if a == 0:
-        return list(range(0, mod, ell ** ((e + 1) // 2)))
-    v, u = 0, a
-    while u % ell == 0:
-        u //= ell
-        v += 1
-    if v % 2 == 1:
-        return []
-    sub = e - v
-    r = _sqrt_mod_prime(u % ell, ell)
-    if r is None or r == 0:
-        return []
-    r = _hensel_sqrt(u, ell, sub, r)
-    half = ell ** (v // 2)
-    period = ell ** (e - v // 2)
-    out = set()
-    for base in (r % ell ** sub, (-r) % ell ** sub):
-        x0 = half * base
-        for t in range(mod // period):
-            out.add((x0 + t * period) % mod)
-    return sorted(x for x in out if x * x % mod == a)
+def _sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
+    """All x in [0, q^e) with x^2 = a mod q^e, for any prime q, sorted.
 
-
-def _hensel_sqrt(a: int, ell: int, e: int, r: int) -> int:
-    """Lift r with r^2 = a mod l to mod l^e (a a unit mod l)."""
-    mod = ell
-    for _ in range(e - 1):
-        mod *= ell
-        f = (r * r - a) % mod
-        r = (r - f * pow(2 * r, -1, mod)) % mod
-    return r
-
-
-def _sqrt_mod_2_power(a: int, e: int) -> list[int]:
-    """All x in [0, 2^e) with x^2 = a mod 2^e."""
-    mod = 1 << e
-    a %= mod
-    if e <= 3:
-        return [x for x in range(mod) if x * x % mod == a]
-    if a == 0:
-        return list(range(0, mod, 1 << ((e + 1) // 2)))
-    v, u = 0, a
-    while u % 2 == 0:
-        u //= 2
-        v += 1
-    if v % 2 == 1:
-        return []
-    sub = e - v
-    if sub <= 3:
-        cands = [x for x in range(1 << sub) if x * x % (1 << sub) == u % (1 << sub)]
+    The roots mod q are lifted one power of q at a time, keeping every
+    r + t*q^k, t in [0, q), whose square is a mod q^(k+1).  Every root mod
+    q^(k+1) reduces to a root mod q^k, so the list is complete, units or not.
+    """
+    if q == 2:
+        roots = [a % 2]
     else:
-        if u % 8 != 1:
-            return []
-        r = 1
-        for k in range(3, sub):
-            if (r * r - u) % (1 << (k + 1)):
-                r += 1 << (k - 1)
-        cands = {r % (1 << sub), (-r) % (1 << sub),
-                 (r + (1 << (sub - 1))) % (1 << sub), ((1 << (sub - 1)) - r) % (1 << sub)}
-    half = 1 << (v // 2)
-    period = 1 << (e - v // 2)
-    out = set()
-    for base in cands:
-        x0 = half * base
-        for t in range(mod // period):
-            out.add((x0 + t * period) % mod)
-    return sorted(x for x in out if x * x % mod == a)
+        r = _sqrt_mod_prime(a, q)
+        roots = [] if r is None else sorted({r, -r % q})
+    mod = q
+    for _ in range(e - 1):
+        nxt = mod * q
+        roots = [x for r in roots for x in range(r, nxt, mod) if (x * x - a) % nxt == 0]
+        mod = nxt
+    return sorted(roots)
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -132,7 +80,7 @@ def _all_sqrts_mod(a: int, m: int) -> list[int]:
     roots = [0]
     mod = 1
     for q, e in _factorize(m).items():
-        part = _sqrt_mod_2_power(a, e) if q == 2 else _sqrt_mod_prime_power(a, q, e)
+        part = _sqrt_mod_prime_power(a, q, e)
         if not part:
             return []
         qe = q ** e
@@ -305,13 +253,6 @@ def represent_integer(o0: Order, n: int, rng: random.Random | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _legendre(a: int, n: int) -> int:
-    a %= n
-    if a == 0:
-        return 0
-    return 1 if pow(a, (n - 1) // 2, n) == 1 else -1
-
-
 def _gauss_reduce_2d(b1, b2):
     """Lagrange-reduced basis of the planar lattice spanned by b1, b2."""
     def norm(v):
@@ -440,11 +381,9 @@ def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | Non
     n_i = ideal.nrd()
     # short-circuit: already an l-power-norm primitive ideal (with norm > p,
     # so that elements of that exact norm can exist primitively)
-    t = n_i
-    while t % ell == 0:
-        t //= ell
-    if t == 1 and not force_rebuild and (n_i == 1 or
-                                         (n_i > p and _ideal_is_primitive(ideal, ell))):
+    l_power = ell ** _val(n_i, ell, n_i.bit_length()) == n_i
+    if l_power and not force_rebuild and (n_i == 1 or
+                                          (n_i > p and _ideal_is_primitive(ideal, ell))):
         beta = alg.quaternion(n_i)
         return Ideal(ideal.lattice, left=o0, nrd=n_i), beta
 
@@ -496,8 +435,8 @@ def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, j_prime: Ideal,
     if big_r % n == 0:
         raise SamplingBudgetError("degenerate (C, D): N divides p(C^2+D^2)")
 
-    chi_ell = _legendre(ell, n)
-    chi_r = _legendre(big_r, n)
+    chi_ell = _jacobi(ell, n)
+    chi_r = _jacobi(big_r, n)
     e1 = 1
     while ell ** e1 <= 8 * p * n ** 3:
         e1 += 1

@@ -469,8 +469,9 @@ class Ideal:
             n = isqrt(int(idx))
             if n * n != int(idx):
                 raise ValueError("lattice index is not a perfect square: corrupted ideal")
-            for b in self.basis():
-                if b.reduced_norm() % n != 0:
+            p, mod = self.alg.p, n * self.lattice.den ** 2
+            for r in self.lattice.mat:
+                if (r[0] ** 2 + r[1] ** 2 + p * (r[2] ** 2 + r[3] ** 2)) % mod:
                     raise ValueError("norm does not divide a basis element norm: corrupted ideal")
             self._nrd = n
         return self._nrd

@@ -157,6 +157,13 @@ def test_rgcd_examples():
     # spec worked example: mhat = min(2, 1, val3(2 - 3*1)) = 0
     out = rgcd_hnf(((1, 1), (0, 9)), ((3, 2), (0, 3)), 3)
     assert out == ((1, 0), (0, 1))
+    # pivot exponents are exact, not capped: the ideal is its own right-gcd
+    assert rgcd_hnf(((3 ** 7, 0), (0, 1)), ((3 ** 7, 0), (0, 1)), 3) == ((3 ** 7, 0), (0, 1))
+    for n in range(13):
+        for m in range(13):
+            for r in ({0, 1, 3 ** m // 2, 3 ** m - 1} if m else {0}):
+                b = ((3 ** n, r), (0, 3 ** m))
+                assert rgcd_hnf(b, b, 3) == b, b
     with pytest.raises(ValueError):
         rgcd_hnf(((2, 0), (0, 3)), a, 3)  # pivot not a power of 3
     with pytest.raises(ValueError):
@@ -189,15 +196,15 @@ def brute_rgcd(a1, a2, ell, m):
 def test_rgcd_against_row_span_oracle():
     rng = random.Random(42)
     for ell in (3, 5, 7):
-        for _ in range(300):
-            mats = []
+        for _ in range(1000):
+            mats, prec = [], 0
             for _ in range(2):
-                n = rng.randint(0, 3)
-                m = rng.randint(0, 3)
+                n = rng.randint(0, 12)
+                m = rng.randint(0, 12)
                 r = rng.randrange(ell ** m)
                 mats.append(((ell ** n, r), (0, ell ** m)))
-            cap = max(3, max(v for mat in mats for v in (mat[0][0], mat[1][1])).bit_length())
-            prec = 6
+                # l^(n+m) = det lies in the ideal, so the oracle is exact at n + m
+                prec = max(prec, n + m + 2)
             got = rgcd_hnf(mats[0], mats[1], ell)
             want = brute_rgcd(mats[0], mats[1], ell, prec)
             assert got == want, (mats, got, want)

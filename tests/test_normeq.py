@@ -7,9 +7,11 @@ import pytest
 from quatisom import (QuatAlgebra, cornacchia, equivalent_power_norm_ideal,
                       random_left_ideal, represent_integer, standard_extremal_order)
 from quatisom import normeq
-from quatisom.normeq import _factorize, _ideal_is_primitive, _small_elements, _sum_of_two_squares
+from quatisom.localization import _hensel_sqrt
+from quatisom.normeq import (_all_sqrts_mod, _factorize, _ideal_is_primitive, _small_elements,
+                             _sqrt_mod_prime_power, _sum_of_two_squares)
 from quatisom.orders import SamplingBudgetError
-from quatisom.quat import is_prime
+from quatisom.quat import _jacobi, is_prime
 from quatisom.serialization import ideal_from_json
 
 
@@ -78,6 +80,59 @@ def test_cornacchia_prime_powers():
         assert (got is None) == (not want)
         if got:
             assert got in want or (got[1], got[0]) in want
+
+
+def _roots_by_square(mod):
+    """Every square root mod `mod`, by enumeration: residue -> sorted roots."""
+    roots = {}
+    for x in range(mod):
+        roots.setdefault(x * x % mod, []).append(x)
+    return roots
+
+
+def test_sqrt_mod_prime_power_matches_brute_force():
+    # every residue, non-units included, for q = 2 and odd q alike
+    for q in (2, 3, 5, 7, 11):
+        e = 1
+        while q ** e <= 3000:
+            mod = q ** e
+            roots = _roots_by_square(mod)
+            for a in range(mod):
+                assert _sqrt_mod_prime_power(a, q, e) == roots.get(a, []), (a, q, e)
+            e += 1
+
+
+def test_all_sqrts_mod_matches_brute_force():
+    for m in range(1, 2000):
+        roots = _roots_by_square(m)
+        for a in (-3, -2, -1, 0, 1, 4, 7, 12):
+            assert _all_sqrts_mod(a, m) == roots.get(a % m, []), (a, m)
+
+
+def _legendre(a, n):
+    """Euler's criterion for an odd prime n."""
+    a %= n
+    if a == 0:
+        return 0
+    return 1 if pow(a, (n - 1) // 2, n) == 1 else -1
+
+
+def test_jacobi_is_the_legendre_symbol_mod_primes():
+    for n in range(3, 2000, 2):
+        if is_prime(n):
+            for a in range(-1, n + 1):
+                assert _jacobi(a, n) == _legendre(a, n), (a, n)
+
+
+def test_hensel_sqrt_is_the_unique_lift():
+    for ell in (3, 5, 7):
+        for e in range(1, 7):
+            mod = ell ** e
+            for x in range(mod):
+                if x % ell:
+                    a = x * x % mod
+                    # the root = x mod l is unique mod l^e, so the lift is x itself
+                    assert _hensel_sqrt(a, ell, e, x % ell) == x, (x, ell, e)
 
 
 def test_represent_integer_examples(o0_103, alg103):
