@@ -205,7 +205,7 @@ def kernel_ideal_equals(f: Mor, lat: Lattice4) -> bool:
     do; with equal covolumes it is then lat.  The zero morphism has no
     kernel ideal and equals no lattice.
     """
-    if f.is_zero() or 4 * abs(lat.det()) != f.degree() ** 2:
+    if f.is_zero() or 4 * lat._diag() != f.degree() ** 2 * lat.den ** 4:
         return False
     p, b = f.alg.p, f.elem
     src, dst = f.src.frame.lattice, f.dst.frame.lattice
@@ -304,9 +304,9 @@ def is_scalar_matrix(mat: Mor2x2, value: int) -> bool:
 def _division_identity(o2: Order, a: Lattice4, b: Lattice4, xi: Quaternion) -> bool:
     """Whether a*b = O2*xi for a maximal order O2, with no HNF of the 16-row
     product a*b; conditions (a)-(d) of `Certificate.verify`."""
-    idx = 4 * abs(a.det())
-    n = isqrt(idx.numerator)
-    return (idx.denominator == 1 and n * n == idx.numerator       # (b)
+    idx, rem = divmod(4 * a._diag(), a.den ** 4)
+    n = isqrt(idx)
+    return (not rem and n * n == idx                              # (b)
             and a.contains_product(o2.lattice, a)                 # (a)
             and b.contains_rmul(a.conjugate(), xi / n)            # (c)
             and o2.lattice.rmul_q(xi).contains_product(a, b))     # (d)

@@ -27,7 +27,7 @@ from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
 from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, multiply_ideals,
                      principal_ideal, standard_extremal_order, two_sided_prime)
-from .quat import Quaternion, is_prime
+from .quat import Quaternion, is_prime, qnrd
 
 
 class CompletionPreconditionError(RuntimeError):
@@ -126,7 +126,10 @@ def _known_generator(lat, order: Order, target, g: Quaternion) -> Quaternion:
     equality, checked on the four product rows with no HNF.  g = 0 fails
     the second condition.
     """
-    if lat.det() * g.reduced_norm() ** 2 != target.det() or not target.contains_rmul(lat, g):
+    ng = qnrd(g.num, lat.alg.p)
+    # det(lat)*Nrd(g)^2 = det(target), over the denominators den^4 and g.den^4
+    if (lat._diag() * ng * ng * target.den ** 4 != target._diag() * (lat.den * g.den) ** 4
+            or not target.contains_rmul(lat, g)):
         raise VerificationError("a given generator does not solve its ideal equation")
     return _canonical_generator(order, g)
 
@@ -484,7 +487,8 @@ def verify_ideal_quadruple(i11: Ideal, i21: Ideal, i12: Ideal, i22: Ideal) -> Qu
     I11, I21 are left ideals of a common order O1; I12 and I22 carry right
     order O_R(I11), O_R(I21) (so their conjugates are the duals' kernel
     ideals), the presentation of the worked examples.  Searches the residual
-    automorphism choices (at most 24^2).
+    automorphism choices (at most 6^4 per pair of candidates: a unit group
+    has at most 6 elements).
     """
     o1 = i11.left_order()
     if i21.left_order() != o1:

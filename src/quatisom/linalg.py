@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 IntMatrix = list[list[int]]
 Form = list[list[int | Fraction]]  # a quadratic form: integer or rational entries
@@ -265,11 +266,12 @@ def _form_dot(form: Form):
                              for j in range(len(g)))), scale
 
 
-def _gs_row(b: IntMatrix, k: int, d: list[int], lam: IntMatrix, dot) -> None:
-    """Integral Gram-Schmidt data of row k (Cohen, GTM 138, Alg. 2.6.7): the
-    Gram determinants d[k+1] and lam[k][j] = d[j+1]*mu[k][j], all integers."""
+def _gs_row(k: int, dots: list[int], d: list[int], lam: IntMatrix) -> None:
+    """Integral Gram-Schmidt data of row k (Cohen, GTM 138, Alg. 2.6.7) from
+    dots[j] = <b_k, b_j>, j <= k: the Gram determinant d[k+1] and
+    lam[k][j] = d[j+1]*mu[k][j], all integers."""
     for j in range(k + 1):
-        t = dot(b[k], b[j])
+        t = dots[j]
         for i in range(j):
             t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
         if j < k:
@@ -280,56 +282,73 @@ def _gs_row(b: IntMatrix, k: int, d: list[int], lam: IntMatrix, dot) -> None:
                 raise ValueError("form is not positive definite on the basis (rank deficiency?)")
 
 
+def _size_reduce(l: int, uk: list[int], lk: list[int], u: IntMatrix, d: list[int],
+                 lam: IntMatrix) -> None:
+    """Size-reduce row k (transform row uk, Gram-Schmidt row lk) against
+    row l < k, Cohen's REDI: subtract q = round(lam[k][l]/d[l+1]) times row l
+    when 2*|lam[k][l]| > d[l+1]."""
+    dl = d[l + 1]
+    if 2 * abs(lk[l]) > dl:
+        q = (2 * lk[l] + dl) // (2 * dl)
+        for c, x in enumerate(u[l]):
+            uk[c] -= q * x
+        lk[l] -= q * dl
+        ll = lam[l]
+        for i in range(l):
+            lk[i] -= q * ll[i]
+
+
 def _lll(basis: IntMatrix, dot) -> tuple[IntMatrix, IntMatrix, list[int], IntMatrix]:
     """Cohen's integral LLL (delta = 3/4, GTM 138, Alg. 2.6.7).
 
     Returns (b, u, d, lam): the reduced basis, the transform with
     u * basis = b, and the integral Gram-Schmidt data of b.
+
+    Only u is updated: the Gram matrix G of the input is built once, and
+    <b_k, b_j> = u_k*G*u_j^T.  Every step touches rows k <= kmax only, so
+    when row k is first reached u_k is still the unit vector e_k and
+    <b_k, b_j> = G_k*u_j^T.  The basis is b = u*basis at the end.
     """
     n = len(basis)
-    b = [row[:] for row in basis]
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = dot(basis[i], basis[j])
     u = identity_matrix(n)
     lam = [[0] * n for _ in range(n)]
     d = [1] + [0] * n
-
-    def redi(k: int, l: int):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k][:] = [x - q * y for x, y in zip(b[k], b[l])]
-            u[k][:] = [x - q * y for x, y in zip(u[k], u[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swapi(k: int, kmax: int):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        u[k], u[k - 1] = u[k - 1], u[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lb = lam[k][k - 1]
-        bb = (d[k - 1] * d[k + 1] + lb * lb) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lb * t) // d[k]
-            lam[i][k - 1] = (bb * t + lb * lam[i][k]) // d[k + 1]
-        d[k] = bb
-
-    _gs_row(b, 0, d, lam, dot)
+    _gs_row(0, gram[0], d, lam)
     kmax = 0
     k = 1
     while k < n:
         if k > kmax:
             kmax = k
-            _gs_row(b, k, d, lam, dot)
-        redi(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] * lam[k][k - 1]:
-            swapi(k, kmax)
-            k = max(k - 1, 1)
+            gk = gram[k]
+            _gs_row(k, [sum(map(mul, gk, u[j])) for j in range(k + 1)], d, lam)
+        lk, uk = lam[k], u[k]
+        _size_reduce(k - 1, uk, lk, u, d, lam)
+        dl, lb = d[k], lk[k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * dl * dl - 4 * lb * lb:
+            # the Lovasz condition fails: swap rows k-1 and k (Cohen's SWAPI)
+            u[k], u[k - 1] = u[k - 1], uk
+            lm = lam[k - 1]
+            for j in range(k - 1):
+                lk[j], lm[j] = lm[j], lk[j]
+            bb = (d[k - 1] * d[k + 1] + lb * lb) // dl
+            for i in range(k + 1, kmax + 1):
+                li = lam[i]
+                t = li[k]
+                li[k] = (d[k + 1] * li[k - 1] - lb * t) // dl
+                li[k - 1] = (bb * t + lb * li[k]) // d[k + 1]
+            d[k] = bb
+            if k > 1:
+                k -= 1
         else:
             for l in range(k - 2, -1, -1):
-                redi(k, l)
+                _size_reduce(l, uk, lk, u, d, lam)
             k += 1
-    return b, u, d, lam
+    columns = list(zip(*basis))
+    return [[sum(map(mul, ui, col)) for col in columns] for ui in u], u, d, lam
 
 
 def lll_reduce(basis: IntMatrix, form: Form) -> tuple[IntMatrix, IntMatrix]:
@@ -390,11 +409,38 @@ def enumerate_up_to(basis: IntMatrix, form: Form, bound: Fraction):
     dot, scale = _form_dot(form)
     d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
     for k in range(n):
-        _gs_row(basis, k, d, lam, dot)
+        _gs_row(k, [dot(basis[k], basis[j]) for j in range(k + 1)], d, lam)
     m, found = _fincke_pohst(d, lam, bound.numerator * scale, bound.denominator)
     for i, (x, v) in enumerate(found):  # in place: a large bound gives a long list
         found[i] = (x, Fraction(v, scale * m))
     return found
+
+
+def _least(reduction, bound: int) -> tuple[int, int, IntMatrix]:
+    """(M, least, xs) for a reduction (b, u, d, lam) from `_lll`: the least
+    form value of a nonzero vector, times M, and the coefficients xs on b of
+    the vectors that attain it, one of each +-v pair in Fincke-Pohst order.
+    bound is an integer form value that some nonzero vector attains."""
+    m, found = _fincke_pohst(reduction[2], reduction[3], bound, 1)
+    least = min(v for _, v in found)
+    return m, least, [x for x, v in found if v == least]
+
+
+def _shortest(basis: IntMatrix, reduction, bound: int) -> tuple[list[int], list[int], Fraction]:
+    """`shortest_vector` on an integer form from the reduction of basis
+    under it; bound as in `_least`."""
+    m, least, xs = _least(reduction, bound)
+    trans = reduction[1]
+    n = len(trans)
+    candidates = []
+    for x in xs:
+        coeffs = [sum(x[t] * trans[t][c] for t in range(n)) for c in range(n)]
+        if next(v for v in coeffs if v) < 0:
+            coeffs = [-v for v in coeffs]
+        candidates.append(coeffs)
+    coeffs = min(candidates)
+    vec = [sum(coeffs[t] * basis[t][c] for t in range(n)) for c in range(len(basis[0]))]
+    return coeffs, vec, Fraction(least, m)
 
 
 def shortest_vector(basis: IntMatrix, form: Form) -> tuple[list[int], list[int], Fraction]:
@@ -406,31 +452,15 @@ def shortest_vector(basis: IntMatrix, form: Form) -> tuple[list[int], list[int],
     whose first nonzero coefficient is positive.
     """
     dot, scale = _form_dot(form)
-    red, trans, d, lam = _lll(basis, dot)
-    m, found = _fincke_pohst(d, lam, min(dot(r, r) for r in red), 1)
-    best_val = min(v for _, v in found)
-    candidates = []
-    for coeffs_red, val in found:
-        if val != best_val:
-            continue
-        coeffs = [sum(coeffs_red[t] * trans[t][c] for t in range(len(red)))
-                  for c in range(len(red))]
-        for sgn in (1, -1):
-            cand = [sgn * v for v in coeffs]
-            nz = next(v for v in cand if v)
-            if nz > 0:
-                candidates.append(cand)
-    coeffs = min(candidates)
-    vec = [sum(coeffs[t] * basis[t][c] for t in range(len(basis)))
-           for c in range(len(basis[0]))]
-    return coeffs, vec, Fraction(best_val, scale * m)
+    reduction = _lll(basis, dot)
+    coeffs, vec, val = _shortest(basis, reduction, min(dot(r, r) for r in reduction[0]))
+    return coeffs, vec, val / scale
 
 
-def vectors_of_value(basis: IntMatrix, form: Form, value: Fraction) -> list[list[int]]:
-    """All lattice vectors (both signs) of exact form value, in ambient coords."""
-    dot, scale = _form_dot(form)
-    red, _, d, lam = _lll(basis, dot)
-    num, den = value.numerator * scale, value.denominator
+def _vectors_of_value(reduction, num: int, den: int) -> list[list[int]]:
+    """`vectors_of_value` on an integer form from a reduction under it, for
+    the value num/den."""
+    red, _, d, lam = reduction
     m, found = _fincke_pohst(d, lam, num, den)
     out = []
     for coeffs, val in found:
@@ -441,3 +471,9 @@ def vectors_of_value(basis: IntMatrix, form: Form, value: Fraction) -> list[list
         out.append(vec)
         out.append([-v for v in vec])
     return out
+
+
+def vectors_of_value(basis: IntMatrix, form: Form, value: Fraction) -> list[list[int]]:
+    """All lattice vectors (both signs) of exact form value, in ambient coords."""
+    dot, scale = _form_dot(form)
+    return _vectors_of_value(_lll(basis, dot), value.numerator * scale, value.denominator)

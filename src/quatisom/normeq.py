@@ -16,10 +16,9 @@ from functools import partial
 from itertools import islice, product
 from math import gcd, isqrt
 
-from .linalg import _val, hnf_rows, lll_reduce
+from .linalg import _val, hnf_rows
 from .localization import _check, _hensel_sqrt, _sqrt_mod_prime
-from .orders import (Ideal, Order, SamplingBudgetError, nrd_gram,
-                     standard_extremal_order)
+from .orders import Ideal, Order, SamplingBudgetError, standard_extremal_order
 from .quat import Quaternion, _jacobi, is_prime
 
 
@@ -305,9 +304,9 @@ def _strip_l_content(lat, o0: Order, ell: int) -> tuple:
 
 def _small_elements(ideal: Ideal):
     """Nonzero elements of the ideal from short coefficient combinations of
-    an LLL-reduced basis, in a deterministic sweep."""
+    its LLL-reduced basis (kept on the lattice), in a deterministic sweep."""
     lat = ideal.lattice
-    red, _ = lll_reduce([list(r) for r in lat.mat], nrd_gram(lat.alg.p))
+    red = lat._reduction()[0]
     columns = list(zip(*red))
     for radius in range(1, 16):
         for co in product(range(-radius, radius + 1), repeat=4):

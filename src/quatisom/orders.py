@@ -13,8 +13,9 @@ from itertools import product
 from fractions import Fraction
 from math import gcd, lcm, isqrt
 
-from .linalg import hnf_rows, kernel_basis, shortest_vector, vectors_of_value
-from .quat import QuatAlgebra, Quaternion, qmul
+from .linalg import (_least, _lll, _shortest, _vectors_of_value, hnf_rows, kernel_basis,
+                     shortest_vector)
+from .quat import QuatAlgebra, Quaternion, qmul, qnrd
 
 
 class SamplingBudgetError(RuntimeError):
@@ -62,13 +63,18 @@ class Lattice4:
     0 mod e*D: an exact integer test, one product per row.  A and D depend
     only on `mat` and `den`, which never change, so they are computed on
     first use and kept, like the HNF itself.
+
+    So is the LLL reduction of H under the reduced norm (`_reduction`): a
+    lattice is reduced once, whichever of KLPT's small elements, the
+    shortest vector and the vectors of a given norm asks first.
     """
 
-    __slots__ = ("alg", "mat", "den", "_inv")
+    __slots__ = ("alg", "mat", "den", "_inv", "_red")
 
     def __init__(self, alg: QuatAlgebra, rows, den: int = 1, *, _canonical=False):
         self.alg = alg
         self._inv = None
+        self._red = None
         if _canonical:
             self.mat = rows
             self.den = den
@@ -97,8 +103,13 @@ class Lattice4:
 
     def det(self) -> Fraction:
         """Determinant of the basis: the HNF is upper triangular, so its diagonal product."""
+        return Fraction(self._diag(), self.den ** 4)
+
+    def _diag(self) -> int:
+        """det(H) = h00*h11*h22*h33 > 0, so that det() = _diag()/den^4: the
+        covolume tests compare it with den^4 times their target, in integers."""
         m = self.mat
-        return Fraction(m[0][0] * m[1][1] * m[2][2] * m[3][3], self.den ** 4)
+        return m[0][0] * m[1][1] * m[2][2] * m[3][3]
 
     def _inverse(self) -> tuple[int, ...]:
         """The upper triangle of A = den*adj(H), row by row, and D = det(H):
@@ -241,15 +252,38 @@ class Lattice4:
         """[other : self] as a positive rational (integer when self <= other)."""
         return abs(self.det() / other.det())
 
+    def _reduction(self):
+        """(b, u, d, lam): the LLL reduction of the HNF basis under the
+        integer form nrd(row) = den^2*Nrd (`linalg._lll`), computed once."""
+        if self._red is None:
+            p = self.alg.p
+            self._red = _lll(self.mat, lambda x, y: x[0] * y[0] + x[1] * y[1]
+                             + p * (x[2] * y[2] + x[3] * y[3]))
+        return self._red
+
+    def _least_bound(self) -> int:
+        """The least nrd(row) over the reduced basis: a form value that a
+        nonzero vector attains, so an enumeration bound for the minimum."""
+        p = self.alg.p
+        return min(qnrd(r, p) for r in self._reduction()[0])
+
     def min_nonzero_norm(self) -> tuple[Quaternion, Fraction]:
         """Shortest nonzero vector under the reduced norm, deterministic."""
-        _, vec, val = shortest_vector([list(r) for r in self.mat], nrd_gram(self.alg.p))
+        _, vec, val = _shortest(self.mat, self._reduction(), self._least_bound())
         return Quaternion(self.alg, tuple(vec), self.den), val / self.den ** 2
+
+    def _minimal_rows(self) -> list[list[int]]:
+        """The integer rows of the elements of least reduced norm, one of
+        each +-pair; each element is row/den."""
+        reduction = self._reduction()
+        red = reduction[0]
+        _, _, xs = _least(reduction, self._least_bound())
+        return [[sum(x[t] * red[t][c] for t in range(4)) for c in range(4)] for x in xs]
 
     def norm_value_vectors(self, value: Fraction) -> list[Quaternion]:
         """All lattice elements of exact reduced norm `value` (both signs)."""
         target = Fraction(value) * self.den ** 2
-        vecs = vectors_of_value([list(r) for r in self.mat], nrd_gram(self.alg.p), target)
+        vecs = _vectors_of_value(self._reduction(), target.numerator, target.denominator)
         return [Quaternion(self.alg, tuple(vec), self.den) for vec in vecs]
 
 
@@ -281,24 +315,31 @@ def _unit_order(lat: Lattice4, left: bool) -> "Order":
     Lambda*L <= L (L*Lambda <= L for the right order).  The second puts
     Lambda inside O_L(L) (O_R(L)), which is an order, so that order has
     covolume <= 1/4; hence it equals Lambda and is maximal.  Raises
-    ValueError when the order of L is not maximal."""
+    ValueError when the order of L is not maximal.
+
+    4*covolume is 4*D/den^4 with D = `_diag()`, a rational square exactly
+    when 4*D is an integer square s^2; then n = s/den^2.  The order keeps L
+    for its units (`Order.units`)."""
     p, mat, den = lat.alg.p, lat.mat, lat.den
-    idx = 4 * abs(lat.det())
-    n = Fraction(isqrt(idx.numerator), isqrt(idx.denominator))
+    idx = 4 * lat._diag()
+    s = isqrt(idx)
+    g = gcd(s, den * den)
     conj = [(r[0], -r[1], -r[2], -r[3]) for r in mat]
     pairs = product(mat, conj) if left else product(conj, mat)
     try:
-        if n * n != idx:
-            raise ValueError(f"4*covolume {idx} is not a square")
-        o = Lattice4(lat.alg, [[v * n.denominator for v in qmul(x, y, p)] for x, y in pairs],
-                     den * den * n.numerator)
-        if 4 * abs(o.det()) != 1:
-            raise ValueError(f"the candidate order has covolume {abs(o.det())}")
+        if s * s != idx:
+            raise ValueError(f"4*covolume {Fraction(idx, den ** 4)} is not a square")
+        o = Lattice4(lat.alg, [[v * (den * den // g) for v in qmul(x, y, p)] for x, y in pairs],
+                     den * den * (s // g))
+        if 4 * o._diag() != o.den ** 4:
+            raise ValueError(f"the candidate order has covolume {o.det()}")
         if not (lat.contains_product(o, lat) if left else lat.contains_product(lat, o)):
             raise ValueError("the candidate order does not act on the lattice")
     except ValueError as err:
         raise ValueError(f"not an ideal of a maximal order: {err}") from None
-    return Order(o, _certified=True)
+    order = Order(o, _certified=True)
+    order._ideal = (lat, left)
+    return order
 
 
 def left_order(lat: Lattice4) -> "Order":
@@ -323,15 +364,18 @@ class Order:
     automorphism.
 
     Its units and its trace-zero minimum are computed on first use and kept
-    on the object.
+    on the object.  An order made by `left_order`/`right_order` keeps the
+    lattice it was made from (`_ideal`, with the side), from which `units`
+    reads its units.
     """
 
-    __slots__ = ("lattice", "_units", "_trace_zero_min")
+    __slots__ = ("lattice", "_units", "_trace_zero_min", "_ideal")
 
     def __init__(self, lattice: Lattice4, *, _certified=False):
         self.lattice = lattice
         self._units = None
         self._trace_zero_min = None
+        self._ideal = None
         if _certified:
             return
         # basis element x = row/den: trace 2*row[0]/den, norm nrd(row)/den^2,
@@ -340,8 +384,7 @@ class Order:
         if not lattice._contains_rows(((1, 0, 0, 0),), 1):
             raise ValueError("order must contain 1")
         for x in mat:
-            nrd = x[0] ** 2 + x[1] ** 2 + p * (x[2] ** 2 + x[3] ** 2)
-            if (2 * x[0]) % den or nrd % (den * den):
+            if (2 * x[0]) % den or qnrd(x, p) % (den * den):
                 raise ValueError("order elements must have integral trace and norm")
             if not lattice._contains_rows([qmul(x, y, p) for y in mat], den * den):
                 raise ValueError("lattice is not closed under multiplication")
@@ -364,16 +407,46 @@ class Order:
 
     def reduced_discriminant(self) -> int:
         """4p*covolume, as the Gram determinant of Trd(x*conj(y)) is 16p^2*covolume^2."""
-        return int(4 * self.alg.p * abs(self.lattice.det()))
+        return 4 * self.alg.p * self.lattice._diag() // self.lattice.den ** 4
 
     def is_maximal(self) -> bool:
         return self.reduced_discriminant() == self.alg.p
 
     def units(self) -> list[Quaternion]:
-        """All elements of reduced norm 1 (at most 24)."""
+        """All elements of reduced norm 1: 2, 4 or 6 of them, as p > 3.
+
+        For O = O_R(L), fix an element y of least reduced norm in L.  A unit
+        u gives y*u in L*O <= L with Nrd(y*u) = Nrd(y), so y*u is one of the
+        minimal vectors s of L, and u = y^-1*s.  Conversely a y^-1*s in O has
+        reduced norm 1, and an element of norm 1 of an order is a unit
+        (its inverse is its conjugate trd - x).  So the units are the
+        y^-1*s that pass the membership kernel; for O = O_L(L) they are
+        the s*y^-1.  The minimal vectors come from L's own reduction, which
+        KLPT shares for a node's frame.  Orders without such an L (O0,
+        `Order(...)`, `conjugate_by`) enumerate their own lattice.
+        """
         if self._units is None:
-            self._units = self.lattice.norm_value_vectors(Fraction(1))
+            if self._ideal is None:
+                self._units = self.lattice.norm_value_vectors(Fraction(1))
+            else:
+                self._units = self._units_from_ideal(*self._ideal)
         return self._units
+
+    def _units_from_ideal(self, lat: Lattice4, left: bool) -> list[Quaternion]:
+        """The units of O = O_L(lat) (left) or O_R(lat), as in `units`."""
+        p, alg = self.alg.p, self.alg
+        rows = lat._minimal_rows()
+        y = rows[0]
+        ybar = (y[0], -y[1], -y[2], -y[3])
+        # y^-1*s = conj(y)*s/Nrd(y): over lat.den the dens cancel, nrd(y) remains
+        ny = qnrd(y, p)
+        out = []
+        for s in rows:
+            u = qmul(s, ybar, p) if left else qmul(ybar, s, p)
+            if self.lattice._contains_rows((u,), ny):
+                out.append(Quaternion(alg, u, ny))
+                out.append(Quaternion(alg, tuple(-v for v in u), ny))
+        return out
 
     def trace_zero_minimum(self) -> Fraction:
         """Least reduced norm of a nonzero x - trd(x)/2 with x in the order.
@@ -404,8 +477,7 @@ class Order:
         p, lat = self.alg.p, self.lattice
         gbar = (g.num[0], -g.num[1], -g.num[2], -g.num[3])
         rows = [qmul(qmul(gbar, r, p), g.num, p) for r in lat.mat]
-        nrd = g.num[0] ** 2 + g.num[1] ** 2 + p * (g.num[2] ** 2 + g.num[3] ** 2)
-        return Order(Lattice4(lat.alg, rows, lat.den * nrd), _certified=True)
+        return Order(Lattice4(lat.alg, rows, lat.den * qnrd(g.num, p)), _certified=True)
 
 
 _EXTREMAL_ORDERS: dict[int, Order] = {}
@@ -463,15 +535,16 @@ class Ideal:
     def nrd(self) -> int:
         if self._nrd is None:
             self.left_order()  # certified maximal: covolume 1/4
-            idx = 4 * abs(self.lattice.det())
-            if idx.denominator != 1:
+            # 4*covolume = 4*D/den^4 with D = _diag(), an integer square n^2
+            idx, rem = divmod(4 * self.lattice._diag(), self.lattice.den ** 4)
+            if rem:
                 raise ValueError("ideal is not contained in its left order")
-            n = isqrt(int(idx))
-            if n * n != int(idx):
+            n = isqrt(idx)
+            if n * n != idx:
                 raise ValueError("lattice index is not a perfect square: corrupted ideal")
             p, mod = self.alg.p, n * self.lattice.den ** 2
             for r in self.lattice.mat:
-                if (r[0] ** 2 + r[1] ** 2 + p * (r[2] ** 2 + r[3] ** 2)) % mod:
+                if qnrd(r, p) % mod:
                     raise ValueError("norm does not divide a basis element norm: corrupted ideal")
             self._nrd = n
         return self._nrd

@@ -2,9 +2,9 @@
 
 The algebra has basis 1, i, j, k with i^2 = -1, j^2 = -p and k = ij = -ji.
 A quaternion is four integers over one positive denominator in lowest terms,
-the same form as the rows of an `orders.Lattice4`, and `qmul` is the one
-product formula for both.  Coordinates, norms and traces are handed out as
-`fractions.Fraction`; arithmetic is exact.
+the same form as the rows of an `orders.Lattice4`, and `qmul` and `qnrd` are
+the one product and norm formulas for both.  Coordinates, norms and traces
+are handed out as `fractions.Fraction`; arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -154,6 +154,13 @@ def qmul(x, y, p: int) -> tuple[int, int, int, int]:
     )
 
 
+def qnrd(x, p: int) -> int:
+    """Reduced norm x0^2 + x1^2 + p*(x2^2 + x3^2) of the quaternion with
+    coordinates x (a 4-tuple); over a denominator e it is divided by e^2."""
+    x0, x1, x2, x3 = x
+    return x0 * x0 + x1 * x1 + p * (x2 * x2 + x3 * x3)
+
+
 class Quaternion:
     """Element (n0 + n1*i + n2*j + n3*k)/den of B_{p,oo}.
 
@@ -230,8 +237,7 @@ class Quaternion:
         return Quaternion(self.alg, (n0, -n1, -n2, -n3), self.den)
 
     def reduced_norm(self) -> Fraction:
-        n0, n1, n2, n3 = self.num
-        return Fraction(n0 * n0 + n1 * n1 + self.alg.p * (n2 * n2 + n3 * n3), self.den ** 2)
+        return Fraction(qnrd(self.num, self.alg.p), self.den ** 2)
 
     def reduced_trace(self) -> Fraction:
         return Fraction(2 * self.num[0], self.den)

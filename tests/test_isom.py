@@ -697,6 +697,44 @@ def test_canonical_generator_matches_search(p):
             assert _canonical_generator(order, u) == kept_unit
 
 
+# a left O0-ideal of norm 3^5 at p = 503 whose right order contains a cube
+# root of unity: the order of the curve with j = 0, with 6 units
+_J0_FRAME_503 = ([[1, 0, 334, 207], [0, 1, 279, 334], [0, 0, 486, 0], [0, 0, 0, 486]], 2)
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_units_from_the_ideal_match_the_norm_one_search(p):
+    """`units()` of an order made by `left_order`/`right_order` reads the
+    minimal vectors of its lattice; it must give the set that the search
+    for elements of norm 1 in the order gives, and `_canonical_generator`
+    must still pick what `_principal_generator` finds."""
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 7)
+    made = []
+    for _ in range(5):
+        lat = random_left_ideal(o0, rng.choice((3, 5)), rng.randint(1, 4), rng).lattice
+        made += [orders.right_order(lat), orders.left_order(lat.conjugate())]
+    # O0*a has right order a^-1*O0*a, a conjugate of O0 with its four units
+    conjugates = [orders.right_order(o0.lattice.rmul_q(_random_quaternion(alg, rng)))
+                  for _ in range(2)]
+    special = conjugates
+    if p == 503:
+        rows, den = _J0_FRAME_503
+        special = conjugates + [orders.right_order(Lattice4(alg, rows, den))]
+    for order in made + special:
+        assert order._ideal is not None
+        units = order.units()
+        assert len(units) == len(set(units))
+        assert set(units) == set(order.lattice.norm_value_vectors(Fraction(1)))
+        for _ in range(3):
+            g = _random_quaternion(alg, rng)
+            expected = _principal_generator(order.lattice.rmul_q(g), order)
+            assert _canonical_generator(order, g) == expected
+    assert {len(o.units()) for o in made} <= {2, 4, 6}
+    assert [len(o.units()) for o in special] == [4, 4] + [6] * (p == 503)
+
+
 def test_library_has_no_assert():
     # python -O strips assert statements; every check must be explicit code
     found = []

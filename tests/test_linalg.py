@@ -6,10 +6,13 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatisom import QuatAlgebra, random_left_ideal, standard_extremal_order
-from quatisom.linalg import (enumerate_up_to, hnf, hnf_rows, identity_matrix, lll_reduce,
-                             shortest_vector, snf_prime_power, solve_integer, vectors_of_value)
-from quatisom.orders import nrd_gram
+from quatisom import (QuatAlgebra, isomorphism_E0, low_discriminant_isomorphism,
+                      node_from_ideal, random_left_ideal, standard_extremal_order)
+from quatisom import linalg, orders
+from quatisom.linalg import (_form_dot, _lll, enumerate_up_to, hnf, hnf_rows, identity_matrix,
+                             lll_reduce, shortest_vector, snf_prime_power, solve_integer,
+                             vectors_of_value)
+from quatisom.orders import Order, nrd_gram
 
 
 def mat_mul(a, b):
@@ -439,6 +442,148 @@ def test_enumeration_rejects_rank_deficient_basis():
 ])
 def test_lll_reduce_output_is_pinned(basis, form, reduced, transform):
     # the swap and size-reduction rule fixes the reduced basis, and with it
-    # the order of units() and so the certificates
+    # the order in which KLPT's _small_elements sweeps an ideal, and so the
+    # certificates
     assert lll_reduce(basis, form) == (reduced, transform)
     assert mat_mul(transform, basis) == reduced
+
+
+def _gs_row_oracle(b, k, d, lam, dot):
+    """Integral Gram-Schmidt data of row k (Cohen, GTM 138, Alg. 2.6.7): the
+    Gram determinants d[k+1] and lam[k][j] = d[j+1]*mu[k][j], all integers."""
+    for j in range(k + 1):
+        t = dot(b[k], b[j])
+        for i in range(j):
+            t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = t
+        else:
+            d[k + 1] = t
+            if t <= 0:
+                raise ValueError("form is not positive definite on the basis (rank deficiency?)")
+
+
+def _lll_oracle(basis, dot):
+    """The former `linalg._lll`, which updated the basis along with the
+    transform: Cohen's integral LLL (delta = 3/4, GTM 138, Alg. 2.6.7).
+
+    Returns (b, u, d, lam): the reduced basis, the transform with
+    u * basis = b, and the integral Gram-Schmidt data of b.
+    """
+    n = len(basis)
+    b = [row[:] for row in basis]
+    u = identity_matrix(n)
+    lam = [[0] * n for _ in range(n)]
+    d = [1] + [0] * n
+
+    def redi(k: int, l: int):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k][:] = [x - q * y for x, y in zip(b[k], b[l])]
+            u[k][:] = [x - q * y for x, y in zip(u[k], u[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swapi(k: int, kmax: int):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        u[k], u[k - 1] = u[k - 1], u[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lb = lam[k][k - 1]
+        bb = (d[k - 1] * d[k + 1] + lb * lb) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lb * t) // d[k]
+            lam[i][k - 1] = (bb * t + lb * lam[i][k]) // d[k + 1]
+        d[k] = bb
+
+    _gs_row_oracle(b, 0, d, lam, dot)
+    kmax = 0
+    k = 1
+    while k < n:
+        if k > kmax:
+            kmax = k
+            _gs_row_oracle(b, k, d, lam, dot)
+        redi(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] * lam[k][k - 1]:
+            swapi(k, kmax)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                redi(k, l)
+            k += 1
+    return b, u, d, lam
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019, 2 ** 61 + 15])
+def test_lll_matches_the_basis_updating_oracle(p):
+    """`_lll` tracks only the transform against a Gram matrix built once; it
+    must return the (b, u, d, lam) of the algorithm that also updates b, on
+    ideal and order bases, their 3x3 trace-zero projections, and random
+    bases under random diagonal forms."""
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p % 1000)
+    nrd_dot = _form_dot(nrd_gram(p))[0]
+    tz_dot = _form_dot([[1, 0, 0], [0, p, 0], [0, 0, p]])[0]
+    cases = [([list(r) for r in o0.lattice.mat], nrd_dot)]
+    for _ in range(8):
+        ideal = random_left_ideal(o0, rng.choice((3, 5, 7)), rng.randint(1, 8), rng)
+        order = ideal.right_order()
+        cases += [([list(r) for r in ideal.lattice.mat], nrd_dot),
+                  ([list(r) for r in order.lattice.mat], nrd_dot),
+                  (hnf_rows([list(r[1:]) for r in order.lattice.mat]), tz_dot)]
+    while len(cases) < 60:
+        n = rng.choice((2, 3, 4))
+        basis = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)]
+        if len(hnf_rows(basis)) == n:
+            form = [[rng.randint(1, 50) if i == j else 0 for j in range(n)] for i in range(n)]
+            cases.append((basis, _form_dot(form)[0]))
+    for basis, dot in cases:
+        assert _lll(basis, dot) == _lll_oracle(basis, dot)
+
+
+def test_lll_matches_the_oracle_on_a_skewed_rational_form():
+    basis = [[1, 1000, 3, 7], [0, 1, 999, 5], [4, 0, 1, 998], [1, 2, 3, 5]]
+    form = [[Fraction(2, 3), Fraction(1, 3), 0, 0], [Fraction(1, 3), 1, 0, 0], [0, 0, 5, 1],
+            [0, 0, 1, 2]]
+    dot = _form_dot(form)[0]
+    assert _lll(basis, dot) == _lll_oracle(basis, dot)
+    with pytest.raises(ValueError):
+        _lll([[1, 0, 0, 0], [2, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dot)
+
+
+def test_each_lattice_is_reduced_once(monkeypatch):
+    """A pipeline reduces each distinct lattice once, and units() of an
+    order made from an ideal reduces no order lattice: one fixed-seed
+    low_discriminant_isomorphism and one isomorphism_E0 at p = 503, with
+    O0 and the lattice products built afresh."""
+    alg = QuatAlgebra(503)
+    monkeypatch.setattr(orders, "_EXTREMAL_ORDERS", {})
+    orders._lattice_mul.cache_clear()
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(25)
+    nodes = [node_from_ideal(random_left_ideal(o0, ell, 3, rng)) for ell in (3, 5, 3)]
+
+    reduced, unit_orders = [], []
+    real_lll, real_units = linalg._lll, Order.units
+
+    def counting_lll(basis, dot):
+        reduced.append(tuple(map(tuple, basis)))
+        return real_lll(basis, dot)
+
+    def recording_units(self):
+        if self._ideal is not None:
+            unit_orders.append(self.lattice.mat)
+        return real_units(self)
+
+    for module in (linalg, orders):
+        monkeypatch.setattr(module, "_lll", counting_lll)
+    monkeypatch.setattr(Order, "units", recording_units)
+    low_discriminant_isomorphism(nodes[0], 3, random.Random(1))
+    lowdisc_calls = len(reduced)
+    isomorphism_E0(nodes[1], nodes[2], random.Random(2))
+    assert len(reduced) == len(set(reduced))
+    assert unit_orders and not set(reduced) & set(unit_orders)
+    assert (lowdisc_calls, len(reduced) - lowdisc_calls) == (2, 3)
