@@ -1,12 +1,15 @@
 """Command-line front end: instance generation, algorithm runs, certificate
 verification and worked-example replay, all through JSON files.
 
-`verify` reads two input formats.  A certificate that carries its matrix
+`verify` reads three input formats.  A certificate that carries its matrix
 (as `complete` and `lowdisc` write it) is decided from that matrix with no
 search (`isom.verify_certificate`).  `complete` and `lowdisc` compare the
 kernel ideals before they write; the Kani degree and the certificate
-identities the pipeline proved are not checked again.  A file with the
-four ideals alone is decided by the generator and unit-twist search of
+identities the pipeline proved are not checked again.  A bare matrix (as
+`isom-e0` and `isom2` write it) is accepted exactly when its entries pass
+their lattice conditions and its Kani degree is 1: an isomorphism between
+the products whose frames it lists.  A file with the four ideals alone is
+decided by the generator and unit-twist search of
 `isom.verify_ideal_quadruple`.
 
 Exit codes: 0 verified success, 1 verification failure (a witness that
@@ -23,7 +26,7 @@ import json
 import random
 import sys
 
-from .homframe import LatticeConditionError, base_node, node_from_ideal
+from .homframe import LatticeConditionError, base_node, kani_degree, node_from_ideal
 from .isom import (CompletionPreconditionError, QuadrupleReport, VerificationError,
                    isom_g_products, isom_two_products, isomorphism_E0, isomorphism_completion,
                    kernel_ideal_mismatch, low_discriminant_isomorphism, sum_kernel_ideal,
@@ -31,7 +34,7 @@ from .isom import (CompletionPreconditionError, QuadrupleReport, VerificationErr
 from .orders import Ideal, SamplingBudgetError, random_left_ideal, standard_extremal_order
 from .quat import QuatAlgebra, is_prime
 from .serialization import (certificate_from_json, certificate_to_json, dumps,
-                            ideal_from_json, ideal_to_json, matrix_to_json)
+                            ideal_from_json, ideal_to_json, matrix_from_json, matrix_to_json)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -179,6 +182,19 @@ def _verify_witness(data) -> QuadrupleReport:
     return verify_certificate(cert, matrix)
 
 
+def _verify_matrix(data, alg) -> QuadrupleReport:
+    """The verdict on a bare matrix file: it proves an isomorphism between
+    the products whose frames it lists exactly when its Kani degree is 1."""
+    try:
+        matrix = matrix_from_json(alg, data["matrix"])
+    except LatticeConditionError as err:
+        return QuadrupleReport(False, str(err))
+    if kani_degree(matrix) != 1:
+        return QuadrupleReport(False, "the matrix does not have Kani degree 1")
+    return QuadrupleReport(True, "isomorphism witnessed between the products of the "
+                                 "source and target frames the matrix lists")
+
+
 def _verify_ideals(data, alg) -> QuadrupleReport:
     """The verdict on a file that holds only the four ideals."""
     src = data.get("ideals")
@@ -196,7 +212,12 @@ def _verify_ideals(data, alg) -> QuadrupleReport:
 def cmd_verify(args) -> int:
     data = _load(args.infile)
     alg = QuatAlgebra(int(data["p"]))
-    rep = _verify_witness(data) if "matrix" in data else _verify_ideals(data, alg)
+    if "matrix" not in data:
+        rep = _verify_ideals(data, alg)
+    elif "ideals" in data:
+        rep = _verify_witness(data)
+    else:
+        rep = _verify_matrix(data, alg)
     _write(args.out, {"p": str(alg.p), "verified": rep.ok, "reason": rep.reason})
     return EXIT_OK if rep.ok else EXIT_VERIFY_FAILED
 

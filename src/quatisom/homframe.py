@@ -16,7 +16,7 @@ from math import isqrt
 
 from .localization import VerificationError, _check  # noqa: F401 (re-exported)
 from .orders import Ideal, Lattice4, Order, multiply_ideals, standard_extremal_order
-from .quat import QuatAlgebra, Quaternion, qmul
+from .quat import QuatAlgebra, Quaternion, qmul, qnrd
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,13 @@ class Mor:
         return self.src.alg
 
     def degree(self) -> int:
-        if self.elem.is_zero():
-            return 0
-        d = self.elem.reduced_norm() * self.dst.frame_norm() / self.src.frame_norm()
-        _check(d.denominator == 1, "degree must be an integer for a valid morphism")
-        return int(d)
+        """Nrd(elem)*Nrd(F_dst)/Nrd(F_src) = nrd(num)*Nrd(F_dst)/(den^2*Nrd(F_src)),
+        an integer for a valid morphism, decided in integers."""
+        e = self.elem
+        d, rem = divmod(qnrd(e.num, e.alg.p) * self.dst.frame_norm(),
+                        e.den * e.den * self.src.frame_norm())
+        _check(not rem, "degree must be an integer for a valid morphism")
+        return d
 
     def is_zero(self) -> bool:
         return self.elem.is_zero()
@@ -302,14 +304,15 @@ def is_scalar_matrix(mat: Mor2x2, value: int) -> bool:
 
 
 def _division_identity(o2: Order, a: Lattice4, b: Lattice4, xi: Quaternion) -> bool:
-    """Whether a*b = O2*xi for a maximal order O2, with no HNF of the 16-row
-    product a*b; conditions (a)-(d) of `Certificate.verify`."""
+    """Whether a*b = O2*xi for a maximal order O2 and a nonzero xi, with no
+    HNF of the 16-row product a*b nor of O2*xi; conditions (a)-(d) of
+    `Certificate.verify`."""
     idx, rem = divmod(4 * a._diag(), a.den ** 4)
     n = isqrt(idx)
-    return (not rem and n * n == idx                              # (b)
-            and a.contains_product(o2.lattice, a)                 # (a)
-            and b.contains_rmul(a.conjugate(), xi / n)            # (c)
-            and o2.lattice.rmul_q(xi).contains_product(a, b))     # (d)
+    return (not rem and n * n == idx                                  # (b)
+            and a.contains_product(o2.lattice, a)                     # (a)
+            and b.contains_rmul(a.conjugate(), xi / n)                # (c)
+            and o2.lattice.contains_product(a, b, xi.inverse()))      # (d)
 
 
 @dataclass(frozen=True)
@@ -345,7 +348,9 @@ class Certificate:
           (b) n is an integer.
           (c) conj(A)*xi/n <= B (4 products).  Then
               O2*xi = A*conj(A)*xi/n <= A*B.
-          (d) A*B <= O2*xi (16 products against the 4-row lattice O2*xi).
+          (d) A*B <= O2*xi, i.e. A*B*xi^-1 <= O2: 4 products of B's rows
+              with xi^-1 = conj(xi)/Nrd(xi), then 16 with A's, against O2's
+              kept inverse (`Lattice4._inverse`), with no lattice O2*xi.
         So A*B = O2*xi, and the test is sufficient: it accepts nothing the
         equality of the two reduced lattices rejects.  It also fixes B:
         multiplying on the left by conj(A)/n, and as conj(A)*A = n*O_R(A)

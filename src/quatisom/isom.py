@@ -27,7 +27,7 @@ from .localization import local_generator
 from .normeq import equivalent_power_norm_ideal, represent_integer
 from .orders import (Ideal, Order, SamplingBudgetError, connecting_ideal, multiply_ideals,
                      principal_ideal, standard_extremal_order, two_sided_prime)
-from .quat import Quaternion, is_prime, qnrd
+from .quat import Quaternion, is_prime
 
 
 class CompletionPreconditionError(RuntimeError):
@@ -107,29 +107,23 @@ def _canonical_generator(order: Order, b: Quaternion) -> Quaternion:
     smallest.  H is upper triangular with a positive diagonal, so coordinate
     t of c*H is c[t]*H[t][t] plus terms in c[0..t-1]: the (1, i, j, k)
     coordinates have the same first nonzero sign and the same lexicographic
-    order as c.  The candidates are ranked on those coordinates, with no HNF.
+    order as c.  The candidates are ranked on those coordinates, with no HNF:
+    x.num/x.den < y.num/y.den lexicographically exactly when x.num*y.den <
+    y.num*x.den is, as both denominators are positive.
     """
     best = None
     for gen in (u * b for u in order.units()):
-        coords = gen.coords()
-        if next(c for c in coords if c) > 0 and (best is None or coords < best[0]):
-            best = (coords, gen)
-    return best[1]
+        if next(c for c in gen.num if c) > 0 and (
+                best is None or [c * best.den for c in gen.num] < [c * gen.den for c in best.num]):
+            best = gen
+    return best
 
 
 def _known_generator(lat, order: Order, target, g: Quaternion) -> Quaternion:
     """`_canonical_generator(order, g)` for order = O_R(lat), once
-    lat*g = target is checked; VerificationError when it does not hold.
-
-    Right multiplication by g scales the covolume by Nrd(g)^2, so
-    lat*g <= target together with det(lat)*Nrd(g)^2 = det(target) is
-    equality, checked on the four product rows with no HNF.  g = 0 fails
-    the second condition.
-    """
-    ng = qnrd(g.num, lat.alg.p)
-    # det(lat)*Nrd(g)^2 = det(target), over the denominators den^4 and g.den^4
-    if (lat._diag() * ng * ng * target.den ** 4 != target._diag() * (lat.den * g.den) ** 4
-            or not target.contains_rmul(lat, g)):
+    lat*g = target is checked (`Lattice4.equals_rmul`: containment and
+    covolume, no HNF); VerificationError when it does not hold."""
+    if not target.equals_rmul(lat, g):
         raise VerificationError("a given generator does not solve its ideal equation")
     return _canonical_generator(order, g)
 
@@ -142,6 +136,17 @@ def _known_morphism_elem(src, dst, ideal: Ideal, b: Quaternion) -> Quaternion:
     target = _frame_times(src, ideal.lattice)
     b = _known_generator(dst.frame.lattice, dst.order, target, b)
     return src.alg.one() if dst.frame.lattice == target else b
+
+
+def _jk_inside(o2: Order, j11, j21, d11: int, d21: int, g: Quaternion) -> bool:
+    """Whether jk = d21*J11 + d11*J21 lies in O2*g, with no lattice jk nor
+    O2*g: d21*J11*g^-1 and d11*J21*g^-1 lie in O2, four product rows each
+    against O2's kept inverse.  False for g = 0."""
+    if g.is_zero():
+        return False
+    g_inv = g.inverse()
+    return (o2.lattice.contains_rmul(j11, g_inv * d21)
+            and o2.lattice.contains_rmul(j21, g_inv * d11))
 
 
 def _bezout_split(d11: int, d21: int) -> tuple[int, int]:
@@ -173,11 +178,12 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
 
     The unknowns b11, b21, xi generate principal ideals: frame(n1p)*b11 =
     frame(n1)*I11, frame(n2p)*b21 = frame(n1)*I21 and O2*xi = jk.  Pipelines
-    pass the three they hold as `generators`; each is checked exactly by
-    `_known_generator` (VerificationError) and normalized to the element
-    the search would find, so the output does not depend on which was
-    given.  Without them the search runs; a miss raises
-    CompletionPreconditionError.
+    pass the three they hold as `generators`; each is checked exactly
+    (VerificationError) and normalized to the element the search would
+    find, so the output does not depend on which was given.  b11 and b21
+    are checked by `_known_generator`; g by jk <= O2*g and, through the
+    certificate check, g in jk, so jk is never built.  Without them the
+    search runs on jk; a miss raises CompletionPreconditionError.
     """
     o1, o2 = n1.order, n2.order
     if i11.left_order() != o1 or i21.left_order() != o1:
@@ -205,15 +211,20 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     j11._nrd = n_psi * d11
     j21 = multiply_ideals(psi_bar, i21, check_compatible=False)
     j21._nrd = n_psi * d21
-    jk = j11.lattice.scale(d21).add(j21.lattice.scale(d11))
     if generators is None:
+        jk = j11.lattice.scale(d21).add(j21.lattice.scale(d11))
         xi = _principal_generator(jk, o2)
         if xi is None:
             raise CompletionPreconditionError(
                 "quotient by ker + ker is not isomorphic to the second source: "
                 "d21*J11 + d11*J21 is not principal")
     else:
-        xi = _known_generator(o2.lattice, o2, jk, generators[2])
+        # jk <= O2*g is tested here.  O2*g = O2*xi <= jk follows from xi in
+        # jk: xi = d21*xi11 - d11*xi21, once the certificate check below has
+        # put xi11 in J11 and xi21 in J21 (VerificationError when it has not)
+        if not _jk_inside(o2, j11.lattice, j21.lattice, d11, d21, generators[2]):
+            raise VerificationError("a given generator does not solve its ideal equation")
+        xi = _canonical_generator(o2, generators[2])
 
     # d21*J11 <= J21 and d11*J21 <= J11, so xi lies in J11 and in J21
     u, v = _bezout_split(d11, d21)

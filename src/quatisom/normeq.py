@@ -19,7 +19,7 @@ from math import gcd, isqrt
 from .linalg import _val, hnf_rows
 from .localization import _check, _hensel_sqrt, _sqrt_mod_prime
 from .orders import Ideal, Order, SamplingBudgetError, standard_extremal_order
-from .quat import Quaternion, _jacobi, is_prime
+from .quat import Quaternion, _jacobi, is_prime, qnrd
 
 
 # ---------------------------------------------------------------------------
@@ -47,38 +47,44 @@ def _sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
     return sorted(roots)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization (desk scale); primality is tested before
-    the wheel and after each factor found, not on every step."""
-    out: dict[int, int] = {}
+def _factorize(n: int):
+    """The prime powers (q, e) of n, q ascending, by trial division (desk
+    scale), yielded as they are found, so a caller can stop early; primality
+    is tested before the wheel and after each factor found, not on every
+    step."""
     for q in (2, 3, 5):
+        e = 0
         while n % q == 0:
-            out[q] = out.get(q, 0) + 1
             n //= q
+            e += 1
+        if e:
+            yield q, e
     f = 7
     inc = (4, 2, 4, 2, 4, 6, 2, 6)
     idx = 0
     prime = is_prime(n)
     while not prime and f * f <= n:
         if n % f == 0:
+            e = 0
             while n % f == 0:
-                out[f] = out.get(f, 0) + 1
                 n //= f
+                e += 1
+            yield f, e
             prime = is_prime(n)
         f += inc[idx]
         idx = (idx + 1) % 8
     if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        yield n, 1
 
 
 def _all_sqrts_mod(a: int, m: int) -> list[int]:
-    """All x in [0, m) with x^2 = a mod m."""
+    """All x in [0, m) with x^2 = a mod m; [] at the first prime power of m
+    with no root, before the rest of m is factored."""
     if m == 1:
         return [0]
     roots = [0]
     mod = 1
-    for q, e in _factorize(m).items():
+    for q, e in _factorize(m):
         part = _sqrt_mod_prime_power(a, q, e)
         if not part:
             return []
@@ -157,7 +163,7 @@ def _sum_of_two_squares(m: int) -> tuple[int, int] | None:
     """Some (x, y) with x^2 + y^2 = m > 0, or None: g times the primitive
     solution for m/g^2, for the least g with g^2 | m that has one."""
     roots = [1]  # every g with g^2 | m, from the factorization of m
-    for q, e in _factorize(m).items():
+    for q, e in _factorize(m):
         roots = [g * q ** k for g in roots for k in range(e // 2 + 1)]
     for g in sorted(roots):
         sol = cornacchia(1, m // (g * g))
@@ -317,32 +323,36 @@ def _small_elements(ideal: Ideal):
 
 
 def _equivalent_prime_norms(ideal: Ideal, avoid: tuple[int, ...]):
-    """Equivalent left O0-ideals of odd prime norm N avoiding given primes,
-    one for each new N, in the order of one sweep over 4000 small elements.
+    """The prime norms N of equivalent left O0-ideals J' = I*conj(delta)/Nrd(I),
+    avoiding given primes, one for each new N, in the order of one sweep
+    over 4000 small elements delta of I.
 
-    Yields (J', delta, N) with J' = I*conj(delta)/Nrd(I).
+    Yields (delta, N) with Nrd(delta) = N*Nrd(I); J' itself is never built.
     """
-    n_i = ideal.nrd()
+    n_i, p = ideal.nrd(), ideal.alg.p
     seen = set(avoid)  # -delta gives the same N
     for delta in islice(_small_elements(ideal), 4000):
-        nd = delta.reduced_norm()
-        n = int(nd) // n_i
+        n = qnrd(delta.num, p) // (delta.den * delta.den * n_i)
         if n <= 2 or n in seen or not is_prime(n):
             continue
         seen.add(n)
-        lat = ideal.lattice.rmul_q(delta.conjugate()).scale(Fraction(1, n_i))
-        yield Ideal(lat, left=ideal._left, nrd=n), delta, n
+        yield delta, n
 
 
-def _mod_constraint(j_prime: Ideal, gamma: Quaternion, n: int) -> tuple[int, int] | None:
-    """(C, D) != 0 mod N with gamma*j*(C + D*i) in J', i.e. a kernel vector of
-    the 4x2 system over F_N given by the J'-coordinates of gamma*j, -gamma*k.
-    N*O0 lies in J', so N*gamma*j and N*gamma*k have integer coordinates."""
-    _, _, jq, kq = j_prime.alg.gens()
-    lat = j_prime.lattice
-    gj, gk = gamma * jq, -(gamma * kq)
-    cu = [y % n for y in lat.coordinates([n * v for v in gj.num], gj.den)[1]]
-    cv = [y % n for y in lat.coordinates([n * v for v in gk.num], gk.den)[1]]
+def _mod_constraint(ideal: Ideal, gamma: Quaternion, delta: Quaternion,
+                    n: int) -> tuple[int, int] | None:
+    """(C, D) != 0 mod N with gamma*j*(C + D*i) in J' = I*conj(delta)/Nrd(I).
+
+    x lies in J' exactly when x*delta lies in N*I, as J'*delta = N*I.
+    gamma*j*(C + D*i) = C*gamma*j - D*gamma*k, and gamma*j*delta and
+    gamma*k*delta lie in O0*I = I, so (C, D) is a kernel vector of the 4x2
+    system over F_N given by the I-coordinates of gamma*j*delta and
+    -gamma*k*delta: the same kernel as on J' itself, so the same (C, D)."""
+    alg, lat = ideal.alg, ideal.lattice
+    jq, kq = Quaternion(alg, (0, 0, 1, 0)), Quaternion(alg, (0, 0, 0, 1))
+    gj, gk = gamma * jq * delta, -(gamma * kq * delta)
+    cu = [y % n for y in lat.coordinates(gj.num, gj.den)[1]]
+    cv = [y % n for y in lat.coordinates(gk.num, gk.den)[1]]
     rows = [(cu[t], cv[t]) for t in range(4) if cu[t] or cv[t]]
     if not rows:
         return (1, 0)
@@ -364,7 +374,8 @@ def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | Non
     Returns (J, beta) with J = I*conj(beta)/Nrd(I), Nrd(beta) = Nrd(I)*l^e,
     O_L(J) = O0 and J not divisible by l.  KLPT for the special order: each
     of at most 8 rounds takes its own prime norm N, so an N that is
-    obstructed for every gamma costs one round.
+    obstructed for every gamma costs one round.  A successful round reduces
+    one lattice, its output.
     With force_rebuild an input that already has l-power norm is still
     replaced (used when a larger exponent is needed downstream).
     """
@@ -387,17 +398,17 @@ def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | Non
         return Ideal(ideal.lattice, left=o0, nrd=n_i), beta
 
     last_error: Exception | None = None
-    for j_prime, delta, n in islice(_equivalent_prime_norms(ideal, (2, p, ell)), 8):
+    for delta, n in islice(_equivalent_prime_norms(ideal, (2, p, ell)), 8):
         try:
-            return _klpt_special(ideal, ell, rng, j_prime, delta, n)
+            return _klpt_special(ideal, ell, rng, delta, n)
         except SamplingBudgetError as err:
             last_error = err
     raise SamplingBudgetError("equivalent_power_norm_ideal failed in at most 8 "
                               f"KLPT rounds, one per prime norm N: {last_error}")
 
 
-def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, j_prime: Ideal,
-                  delta: Quaternion, n: int) -> tuple[Ideal, Quaternion]:
+def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, delta: Quaternion,
+                  n: int) -> tuple[Ideal, Quaternion]:
     """One KLPT round through J' = I*conj(delta)/Nrd(I) of prime norm N.
 
     gamma in O0 has norm N*l^e0, and mu = lambda*j*(C+Di) + N*nu, so that
@@ -405,6 +416,11 @@ def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, j_prime: Ideal,
     more for parity), so t < 8pN^3*l^2: one walk over the disk of at most about
     8*pi*l^2 candidates (_strong_approximation).  The round fails when no
     remainder there is a prime = 1 mod 4 or twice one.
+
+    J' is read through I (`_mod_constraint`) and never built: the output
+    J'*conj(gamma*mu)/N = I*conj(gamma*mu*delta)/(N*Nrd(I)) is one product
+    of I, the round's only reduction, and the witness check compares it
+    with I*conj(beta)/Nrd(I) by containment and covolume.
     """
     alg = ideal.alg
     p = alg.p
@@ -426,7 +442,7 @@ def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, j_prime: Ideal,
     if gamma is None:
         raise SamplingBudgetError("represent_integer failed for gamma")
 
-    cd = _mod_constraint(j_prime, gamma, n)
+    cd = _mod_constraint(ideal, gamma, delta, n)
     if cd is None:
         raise SamplingBudgetError("no mod-N constraint direction for this gamma")
     c, d = _small_projective_rep(cd[0], cd[1], n)
@@ -447,17 +463,17 @@ def _klpt_special(ideal: Ideal, ell: int, rng: random.Random, j_prime: Ideal,
     mu = _strong_approximation(alg, p, n, c, d, ell ** e1)
     if mu is None:
         raise SamplingBudgetError("strong approximation: no remainder in the disk is solvable")
-    prod = gamma * mu
-    lat = j_prime.lattice.rmul_q(prod.conjugate()).scale(Fraction(1, n))
+    prod = gamma * mu * delta
+    lat = ideal.lattice.rmul_q(prod.conjugate() / (n * n_i))
     _check(o0.lattice.contains_lattice(lat), "gamma*mu must lie in J', so I' is integral")
     # strip the l-content: l^v * I' is equivalent to I' and the witness scales
     lat, v = _strip_l_content(lat, o0, ell)
     out = Ideal(lat, left=o0, nrd=ell ** (e0 + e1 - 2 * v))
-    beta = (prod * delta) / (n * ell ** v)
+    beta = prod / (n * ell ** v)
     _check(ideal.lattice.contains(beta), "witness must lie in the input ideal")
     _check(beta.reduced_norm() == n_i * out.nrd(), "witness norm must be Nrd(I)*Nrd(I')")
-    check = ideal.lattice.rmul_q(beta.conjugate()).scale(Fraction(1, n_i))
-    _check(check == out.lattice, "witness must map I onto the output ideal")
+    _check(lat.equals_rmul(ideal.lattice, beta.conjugate() / n_i),
+           "witness must map I onto the output ideal")
     return out, beta
 
 

@@ -160,11 +160,25 @@ class Lattice4:
         p = self.alg.p
         return self._contains_rows([qmul(row, q.num, p) for row in other.mat], other.den * q.den)
 
-    def contains_product(self, a: "Lattice4", b: "Lattice4") -> bool:
-        """Whether a*b <= self, tested on the 16 products of basis rows
-        without building the lattice a*b."""
-        p = self.alg.p
-        return self._contains_rows([qmul(x, y, p) for x in a.mat for y in b.mat], a.den * b.den)
+    def equals_rmul(self, other: "Lattice4", q: Quaternion) -> bool:
+        """Whether self = other*q, with no HNF.  Right multiplication by q
+        scales the covolume by Nrd(q)^2, so other*q <= self (four product
+        rows) with det(other)*Nrd(q)^2 = det(self) is equality; q = 0 fails
+        the second condition."""
+        nq = qnrd(q.num, self.alg.p)
+        # over the denominators den^4 and q.den^4
+        return (other._diag() * nq * nq * self.den ** 4
+                == self._diag() * (other.den * q.den) ** 4
+                and self.contains_rmul(other, q))
+
+    def contains_product(self, a: "Lattice4", b: "Lattice4", q: Quaternion | None = None) -> bool:
+        """Whether a*b <= self (a*b*q <= self for a quaternion q), tested on
+        the 16 products of basis rows, each row of b times q first, without
+        building the lattice a*b."""
+        p, rows, den = self.alg.p, b.mat, a.den * b.den
+        if q is not None:
+            rows, den = [qmul(y, q.num, p) for y in rows], den * q.den
+        return self._contains_rows([qmul(x, y, p) for x in a.mat for y in rows], den)
 
     def is_left_o0_module(self) -> bool:
         """Whether O0*L <= L for the extremal order O0 = <1, i, (i+j)/2, (1+k)/2>,

@@ -243,10 +243,13 @@ class Quaternion:
         return Fraction(2 * self.num[0], self.den)
 
     def inverse(self) -> "Quaternion":
-        n = self.reduced_norm()
+        """conj(x)/Nrd(x): the conjugate numerator times den over nrd(num)."""
+        n = qnrd(self.num, self.alg.p)
         if n == 0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conjugate() / n
+        n0, n1, n2, n3 = self.num
+        d = self.den
+        return Quaternion(self.alg, (n0 * d, -n1 * d, -n2 * d, -n3 * d), n)
 
     def is_zero(self) -> bool:
         return not any(self.num)

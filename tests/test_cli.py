@@ -136,6 +136,50 @@ def test_isom2_flow(tmp_path):
     assert "matrix" in json.loads(out.read_text())
 
 
+def _scaled_entry(data, key, num, den):
+    """A copy of a matrix file with the quaternion of one entry times num/den."""
+    bad = json.loads(json.dumps(data))
+    elem = bad["matrix"][key]["elem"]
+    for t, c in enumerate(elem):
+        a, b = c.split("/")
+        elem[t] = f"{int(a) * num}/{int(b) * den}"
+    return bad
+
+
+@pytest.mark.parametrize("cmd", ["isom-e0", "isom2"])
+def test_verify_decides_a_bare_matrix(tmp_path, capsys, cmd):
+    # what isom-e0 and isom2 write re-verifies: its Kani degree is 1, so it
+    # is an isomorphism between the products whose frames it lists
+    inst = tmp_path / "inst.json"
+    assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "3", "--seed", "7",
+                    "--out", str(inst)]) == 0
+    out = tmp_path / "matrix.json"
+    assert run_cli([cmd, "--in", str(inst), "--seed", "2", "--out", str(out)]) == 0
+    verdict = tmp_path / "verdict.json"
+    assert run_cli(["verify", "--in", str(out), "--out", str(verdict)]) == 0
+    report = json.loads(verdict.read_text())
+    assert report["verified"] is True and "frames the matrix lists" in report["reason"]
+    data = json.loads(out.read_text())
+    # twice an entry is still a morphism, but the matrix is no isomorphism
+    bad = tmp_path / "doubled.json"
+    bad.write_text(json.dumps(_scaled_entry(data, "m12", 2, 1)))
+    assert run_cli(["verify", "--in", str(bad), "--out", str(verdict)]) == 1
+    assert "Kani degree" in json.loads(verdict.read_text())["reason"]
+    # an entry divided by 7 leaves its hom lattice
+    bad = tmp_path / "divided.json"
+    bad.write_text(json.dumps(_scaled_entry(data, "m21", 1, 7)))
+    assert run_cli(["verify", "--in", str(bad), "--out", str(verdict)]) == 1
+    assert json.loads(verdict.read_text())["reason"].startswith("m21: lattice condition")
+    # a frame that is not a left O0-ideal does not parse
+    bad_data = json.loads(json.dumps(data))
+    bad_data["matrix"]["m11"]["src_frame"]["denominator"] = "7"
+    bad = tmp_path / "frame.json"
+    bad.write_text(json.dumps(bad_data))
+    capsys.readouterr()
+    assert run_cli(["verify", "--in", str(bad)]) == 3
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_isom_g_flow(tmp_path):
     inst = tmp_path / "inst.json"
     assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "3", "--g", "3",

@@ -6,7 +6,7 @@ import pytest
 
 from quatisom import (QuatAlgebra, cornacchia, equivalent_power_norm_ideal,
                       random_left_ideal, represent_integer, standard_extremal_order)
-from quatisom import normeq
+from quatisom import normeq, orders
 from quatisom.localization import _hensel_sqrt
 from quatisom.normeq import (_all_sqrts_mod, _factorize, _ideal_is_primitive, _small_elements,
                              _sqrt_mod_prime_power, _sum_of_two_squares)
@@ -43,12 +43,27 @@ def _factorize_reference(n):
 
 
 def test_factorize_matches_trial_division():
+    # _factorize yields (q, e) lazily, q ascending
     for m in range(1, 20000):
-        assert _factorize(m) == _factorize_reference(m), m
+        assert list(_factorize(m)) == sorted(_factorize_reference(m).items()), m
     for m in (3 ** 25, (2 ** 31 - 1) * (2 ** 13 - 1), 10 ** 12 + 39, 1000003 ** 2):
-        assert _factorize(m) == _factorize_reference(m), m
+        assert list(_factorize(m)) == sorted(_factorize_reference(m).items()), m
     # the Mersenne prime 2^61 - 1, beyond the reach of the plain reference
-    assert _factorize(2 ** 61 - 1) == {2 ** 61 - 1: 1}
+    assert list(_factorize(2 ** 61 - 1)) == [(2 ** 61 - 1, 1)]
+
+
+def test_square_roots_stop_at_the_first_prime_power_without_one(monkeypatch):
+    # -1 is no square mod 3, so the rest of m is never factored: no
+    # primality test, no trial division up to 1000003
+    tests = []
+    prime_test = normeq.is_prime
+    monkeypatch.setattr(normeq, "is_prime", lambda n: tests.append(n) or prime_test(n))
+    m = 3 * 1000003 * 1000033
+    assert _all_sqrts_mod(-1, m) == [] and cornacchia(1, m) is None
+    assert tests == []
+    # a prime power with roots is merged and the next one is factored
+    assert _all_sqrts_mod(-1, 5 * 1000003) == []
+    assert tests
 
 
 def test_cornacchia_examples():
@@ -311,6 +326,25 @@ def test_equivalent_power_norm_invariants(o0_103):
         _assert_power_norm_witness(j, ideal, beta, 5, o0_103)
 
 
+@pytest.mark.parametrize("p", [103, 503])
+def test_klpt_reduces_only_its_output(monkeypatch, p):
+    # J' = I*conj(delta)/Nrd(I) is read through I and never built, and the
+    # witness is checked by containment and covolume: a successful call
+    # makes exactly one HNF reduction, the 4-row product that is its output
+    o0 = standard_extremal_order(QuatAlgebra(p))
+    rng = random.Random(p)
+    ideals = [(random_left_ideal(o0, 3, 4, rng), 5) for _ in range(4)]
+    ideals += [(random_left_ideal(o0, 5, 3, rng), 7) for _ in range(4)]
+    reductions = []
+    hnf_rows = orders.hnf_rows
+    monkeypatch.setattr(orders, "hnf_rows", lambda m: reductions.append(len(m)) or hnf_rows(m))
+    for ideal, ell in ideals:
+        reductions.clear()
+        out, beta = equivalent_power_norm_ideal(ideal, ell, rng)
+        assert reductions == [4], reductions
+        _assert_power_norm_witness(ideal, out, beta, ell, o0)
+
+
 def test_klpt_rounds_take_distinct_prime_norms(o0_103, monkeypatch):
     j = random_left_ideal(o0_103, 3, 4, random.Random(63))
     avoid = (2, 103, 5)
@@ -321,10 +355,9 @@ def test_klpt_rounds_take_distinct_prime_norms(o0_103, monkeypatch):
                  if n > 2 and n not in avoid and is_prime(n))
     seen = []
 
-    def fail(ideal, ell, rng, j_prime, delta, n):
-        assert j_prime.nrd() == n
-        assert j_prime.lattice == ideal.lattice.rmul_q(delta.conjugate()).scale(
-            Fraction(1, ideal.nrd()))
+    def fail(ideal, ell, rng, delta, n):
+        # J' = I*conj(delta)/Nrd(I) has norm N
+        assert delta.reduced_norm() == n * ideal.nrd()
         seen.append(n)
         raise SamplingBudgetError("patched round failure")
 
@@ -364,9 +397,9 @@ def test_klpt_moves_past_an_obstructed_prime(monkeypatch):
         try:
             out = klpt(*args)
         except SamplingBudgetError as err:
-            rounds.append((args[5], str(err)))
+            rounds.append((args[4], str(err)))
             raise
-        rounds.append((args[5], "ok"))
+        rounds.append((args[4], "ok"))
         return out
 
     monkeypatch.setattr(normeq, "_klpt_special", record)
