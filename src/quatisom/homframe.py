@@ -14,8 +14,8 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .localization import VerificationError, _check  # noqa: F401 (re-exported)
-from .orders import Ideal, Lattice4, Order, multiply_ideals, standard_extremal_order
+from .orders import (Ideal, Lattice4, Order, VerificationError,  # noqa: F401 (re-exported)
+                     _check, multiply_ideals, standard_extremal_order)
 from .quat import QuatAlgebra, Quaternion, qmul, qnrd
 
 
@@ -183,7 +183,10 @@ def dual(f: Mor) -> Mor:
     conj(F_src)*F_dst/Nrd(F_src) = `hom_lattice(dst, src)` because b lies in
     conj(F_dst)*F_src/Nrd(F_dst), so it keeps the lattice condition unchecked.
     """
-    e = f.elem.conjugate() * Fraction(f.dst.frame_norm(), f.src.frame_norm())
+    n0, n1, n2, n3 = f.elem.num
+    c = f.dst.frame_norm()
+    e = Quaternion(f.elem.alg, (n0 * c, -n1 * c, -n2 * c, -n3 * c),
+                   f.elem.den * f.src.frame_norm())
     return Mor(f.dst, f.src, e, _derived=True)
 
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 
 from .homframe import (Certificate, Mor, Mor2x2, VerificationError,  # noqa: F401 (re-exported)
                        _check, base_node, dual, extend_node, kani_degree,
@@ -59,21 +59,12 @@ def sum_kernel_ideal(i1: Ideal, i2: Ideal) -> Ideal:
 def _principal_generator(lat, order: Order) -> Quaternion | None:
     """g with order*g = lat, or None when lat is not left-principal.
 
-    order*g has index Nrd(g)^2 in order, so the target norm is the square
-    root of that index; the generators are the elements of minimal norm.
+    order*g has covolume Nrd(g)^2 times the order's, so a generator has the
+    least norm in lat: the shortest vector generates lat exactly when
+    `Lattice4.equals_rmul` holds (order*g <= lat and equal covolumes).
     """
-    idx = lat.index_in(order.lattice)
-    num, den = isqrt(idx.numerator), isqrt(idx.denominator)
-    if num * num != idx.numerator or den * den != idx.denominator:
-        return None
-    gen, val = lat.min_nonzero_norm()
-    if val != Fraction(num, den):
-        return None
-    # order*gen has index Nrd(gen)^2 = [order : lat] in order, so containing
-    # it makes it equal to lat
-    if not lat.contains_rmul(order.lattice, gen):
-        return None
-    return gen
+    gen, _ = lat.min_nonzero_norm()
+    return gen if lat.equals_rmul(order.lattice, gen) else None
 
 
 def _frame_times(node, lat):
@@ -312,7 +303,7 @@ def isomorphism_E0(n1, n2, rng: random.Random | None = None) -> Mor2x2:
     n3 = node_from_ideal(ik)
     # I = frame*conj(beta)/Nrd(frame) gives b11, b21; I_psi = ik, so jk = Nrd(ik)*O3
     gens = (beta1.conjugate() / n1.frame_norm(), beta2.conjugate() / n2.frame_norm(),
-            alg.quaternion(i1.nrd() * i2.nrd()))
+            Quaternion(alg, (i1.nrd() * i2.nrd(), 0, 0, 0)))
     f_mat = isomorphism_completion(base, n1, n3, n2, i1, i2, generators=gens).matrix
     g_mat = low_discriminant_isomorphism(n3, ell_low, rng).matrix
     g_swapped = swap_rows(g_mat)  # E0^2 -> E0 x E3

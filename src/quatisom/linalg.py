@@ -456,24 +456,3 @@ def shortest_vector(basis: IntMatrix, form: Form) -> tuple[list[int], list[int],
     coeffs, vec, val = _shortest(basis, reduction, min(dot(r, r) for r in reduction[0]))
     return coeffs, vec, val / scale
 
-
-def _vectors_of_value(reduction, num: int, den: int) -> list[list[int]]:
-    """`vectors_of_value` on an integer form from a reduction under it, for
-    the value num/den."""
-    red, _, d, lam = reduction
-    m, found = _fincke_pohst(d, lam, num, den)
-    out = []
-    for coeffs, val in found:
-        if val * den != num * m:
-            continue
-        vec = [sum(coeffs[t] * red[t][c] for t in range(len(red)))
-               for c in range(len(red[0]))]
-        out.append(vec)
-        out.append([-v for v in vec])
-    return out
-
-
-def vectors_of_value(basis: IntMatrix, form: Form, value: Fraction) -> list[list[int]]:
-    """All lattice vectors (both signs) of exact form value, in ambient coords."""
-    dot, scale = _form_dot(form)
-    return _vectors_of_value(_lll(basis, dot), value.numerator * scale, value.denominator)

@@ -1,26 +1,15 @@
 """l-adic machinery: square roots mod l and their Hensel lift, splitting
-O0 (x) Z_l = Mat_2 truncated at Z/l^m, right-gcd of 2x2 Hermite normal forms
-and local ideal generators.
+O0 (x) Z_l = Mat_2 truncated at Z/l^m, 2x2 Hermite normal forms and their
+right-gcd, and local ideal generators.
 """
 
 from __future__ import annotations
 
 from .linalg import _val, hnf_rows, snf_prime_power
-from .orders import Ideal, Order
+from .orders import Ideal, Order, _check
 from .quat import Quaternion, is_prime
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-class VerificationError(Exception):
-    """A computed result failed its final check: an internal fault, never
-    retried (it is neither a ValueError nor a budget or precondition error)."""
-
-
-def _check(ok: bool, what: str):
-    """Raise VerificationError unless ok; unlike assert, survives python -O."""
-    if not ok:
-        raise VerificationError(what)
 
 
 def _sqrt_mod_prime(a: int, ell: int) -> int | None:
@@ -124,9 +113,9 @@ class Splitting:
         half, inv_neg_p = (mod + 1) // 2, pow(-self.order.alg.p, -1, mod)
         (m00, m01), (m10, m11) = mat
         s, t = (m00 - m11) * half, (m01 + m10) * half
-        return self.order.alg.quaternion(
+        return Quaternion(self.order.alg, (
             (m00 + m11) * half % mod, (m01 - m10) * half % mod,
-            (a * s + b * t) * inv_neg_p % mod, (b * s - a * t) * inv_neg_p % mod)
+            (a * s + b * t) * inv_neg_p % mod, (b * s - a * t) * inv_neg_p % mod))
 
 
 def split_order(o0: Order, ell: int, m: int) -> Splitting:
@@ -148,13 +137,16 @@ def _is_normal_form(a: Mat2, ell: int) -> bool:
     return 0 <= r < y
 
 
-def hnf2_mod(mat: Mat2, ell: int, m: int) -> Mat2:
-    """Normal form [[l^n, r], [0, l^m']] of the left ideal generated by mat
-    in Mat_2(Z/l^m), pivots normalized to exact powers of l."""
+def hnf2_mod(rows, ell: int, m: int) -> Mat2:
+    """Normal form [[l^n, r], [0, l^m']] of the left ideal of Mat_2(Z/l^m)
+    generated by matrices with the given rows (a matrix is its two rows),
+    pivots normalized to exact powers of l.
+
+    X*M has its rows in the row span of M, so that ideal is the set of
+    matrices whose rows lie in the span of all the given rows mod l^m: one
+    HNF, unique, so the same as the right-gcd of the matrices' own forms."""
     mod = ell ** m
-    rows = [[mat[0][0] % mod, mat[0][1] % mod], [mat[1][0] % mod, mat[1][1] % mod],
-            [mod, 0], [0, mod]]
-    h = hnf_rows(rows)
+    h = hnf_rows([[a % mod, b % mod] for a, b in rows] + [[mod, 0], [0, mod]])
     # h has two rows [[g1, t], [0, g2]] with g1, g2 dividing l^m
     g1, t = h[0]
     g2 = h[1][1] if len(h) > 1 else mod
@@ -189,14 +181,6 @@ def rgcd_hnf(a1: Mat2, a2: Mat2, ell: int) -> Mat2:
 # ---------------------------------------------------------------------------
 
 
-def _local_normal_form_of_ideal(ideal: Ideal, splitting: Splitting) -> Mat2:
-    acc = None
-    for b in ideal.basis():
-        nf = hnf2_mod(splitting.to_matrix(b), splitting.ell, splitting.m)
-        acc = nf if acc is None else rgcd_hnf(acc, nf, splitting.ell)
-    return acc
-
-
 def local_generator(ell: int, ideal: Ideal, alpha: Quaternion) -> tuple[Quaternion, Quaternion]:
     """Given a left O0-ideal I of norm l^m with l-type (0, m) and alpha of
     reduced norm l^m, return (alpha, x) with Nrd(x) prime to l and alpha*x
@@ -214,7 +198,7 @@ def local_generator(ell: int, ideal: Ideal, alpha: Quaternion) -> tuple[Quaterni
 
     split = Splitting(o0, ell, m)
     m_alpha = split.to_matrix(alpha)
-    m_beta = _local_normal_form_of_ideal(ideal, split)
+    m_beta = hnf2_mod([row for b in ideal.basis() for row in split.to_matrix(b)], ell, m)
     # types must agree, else no invertible local y exists.  Both norms are
     # l^m, so a type is (0, m) exactly when its local matrix is nonzero mod l,
     # i.e. I is not inside l*O0 and alpha is not in l*O0.

@@ -17,8 +17,8 @@ from itertools import islice, product
 from math import gcd, isqrt
 
 from .linalg import _val, hnf_rows
-from .localization import _check, _hensel_sqrt, _sqrt_mod_prime
-from .orders import Ideal, Order, SamplingBudgetError, standard_extremal_order
+from .localization import _hensel_sqrt, _sqrt_mod_prime
+from .orders import Ideal, Order, SamplingBudgetError, _check, standard_extremal_order
 from .quat import Quaternion, _jacobi, is_prime, qnrd
 
 
@@ -230,7 +230,7 @@ def represent_integer(o0: Order, n: int, rng: random.Random | None = None,
             x, y = sol
             if rng.random() < 0.5:
                 x, y = y, x
-            cand = alg.quaternion(x, y, c, dd)
+            cand = Quaternion(alg, (x, y, c, dd))
         else:
             # half-integer coordinates: alpha = (x + y i + c j + d k)/2 in O0
             # requires x = d and y = c mod 2
@@ -269,7 +269,10 @@ def _gauss_reduce_2d(b1, b2):
         b1, b2 = b2, b1
     while True:
         n1 = norm(b1)
-        mu = round(Fraction(b1[0] * b2[0] + b1[1] * b2[1], n1))
+        # mu = round(<b1, b2>/n1), ties to even as round() does
+        mu, r = divmod(b1[0] * b2[0] + b1[1] * b2[1], n1)
+        if 2 * r > n1 or (2 * r == n1 and mu % 2):
+            mu += 1
         b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
         if norm(b2) >= n1:
             return b1, b2
@@ -394,7 +397,7 @@ def equivalent_power_norm_ideal(ideal: Ideal, ell: int, rng: random.Random | Non
     l_power = ell ** _val(n_i, ell, n_i.bit_length()) == n_i
     if l_power and not force_rebuild and (n_i == 1 or
                                           (n_i > p and _ideal_is_primitive(ideal, ell))):
-        beta = alg.quaternion(n_i)
+        beta = Quaternion(alg, (n_i, 0, 0, 0))
         return Ideal(ideal.lattice, left=o0, nrd=n_i), beta
 
     last_error: Exception | None = None
@@ -501,7 +504,7 @@ def _strong_approximation(alg, p: int, n: int, c: int, d: int, t: int) -> Quater
         _check(num % (n * n) == 0, "strong approximation remainder must be divisible by N^2")
         sol = _two_squares(num // (n * n))
         if sol is not None:
-            mu = alg.quaternion(n * sol[0], n * sol[1], x_co, y_co)
+            mu = Quaternion(alg, (n * sol[0], n * sol[1], x_co, y_co))
             _check(mu.reduced_norm() == t, "strong approximation must hit the target norm")
             return mu
     return None

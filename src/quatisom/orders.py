@@ -13,13 +13,23 @@ from itertools import product
 from fractions import Fraction
 from math import gcd, lcm, isqrt
 
-from .linalg import (_least, _lll, _shortest, _vectors_of_value, hnf_rows, kernel_basis,
-                     shortest_vector)
+from .linalg import _least, _lll, _shortest, hnf_rows, kernel_basis, shortest_vector
 from .quat import QuatAlgebra, Quaternion, qmul, qnrd
 
 
 class SamplingBudgetError(RuntimeError):
     """A randomized search exhausted its retry budget."""
+
+
+class VerificationError(Exception):
+    """A computed result failed its final check: an internal fault, never
+    retried (it is neither a ValueError nor a budget or precondition error)."""
+
+
+def _check(ok: bool, what: str):
+    """Raise VerificationError unless ok; unlike assert, survives python -O."""
+    if not ok:
+        raise VerificationError(what)
 
 
 def nrd_gram(p: int) -> list[list[int]]:
@@ -45,12 +55,6 @@ def _det4(m) -> int:
     )
 
 
-def _cofactor(m, r: int, c: int) -> int:
-    """(-1)^(r+c) times the minor of the 4x4 matrix m without row r and column c."""
-    x, y, z = [row[:c] + row[c + 1:] for t, row in enumerate(m) if t != r]
-    return (-1) ** (r + c) * _det3(*x, *y, *z)
-
-
 class Lattice4:
     """Full rank-4 Z-lattice in B_{p,oo}, canonical HNF basis over a denominator.
 
@@ -66,7 +70,7 @@ class Lattice4:
 
     So is the LLL reduction of H under the reduced norm (`_reduction`): a
     lattice is reduced once, whichever of KLPT's small elements, the
-    shortest vector and the vectors of a given norm asks first.
+    shortest vector and the minimal vectors asks first.
     """
 
     __slots__ = ("alg", "mat", "den", "_inv", "_red")
@@ -294,12 +298,6 @@ class Lattice4:
         _, _, xs = _least(reduction, self._least_bound())
         return [[sum(x[t] * red[t][c] for t in range(4)) for c in range(4)] for x in xs]
 
-    def norm_value_vectors(self, value: Fraction) -> list[Quaternion]:
-        """All lattice elements of exact reduced norm `value` (both signs)."""
-        target = Fraction(value) * self.den ** 2
-        vecs = _vectors_of_value(self._reduction(), target.numerator, target.denominator)
-        return [Quaternion(self.alg, tuple(vec), self.den) for vec in vecs]
-
 
 @lru_cache(maxsize=8)
 def _lattice_mul(a: Lattice4, b: Lattice4) -> Lattice4:
@@ -435,22 +433,22 @@ class Order:
         reduced norm 1, and an element of norm 1 of an order is a unit
         (its inverse is its conjugate trd - x).  So the units are the
         y^-1*s that pass the membership kernel; for O = O_L(L) they are
-        the s*y^-1.  The minimal vectors come from L's own reduction, which
-        KLPT shares for a node's frame.  Orders without such an L (O0,
-        `Order(...)`, `conjugate_by`) enumerate their own lattice.
+        the s*y^-1.  An order made by `left_order`/`right_order` reads them
+        from the L it was made from, whose reduction KLPT shares for a
+        node's frame.  Any other order (O0, `Order(...)`, `conjugate_by`) is
+        its own L, as O_R(O) = O, and y = 1: its units are its minimal
+        vectors, in the order its reduction gives them.
         """
         if self._units is None:
-            if self._ideal is None:
-                self._units = self.lattice.norm_value_vectors(Fraction(1))
-            else:
-                self._units = self._units_from_ideal(*self._ideal)
+            self._units = self._units_from_ideal(*(self._ideal or (self.lattice, False)))
         return self._units
 
     def _units_from_ideal(self, lat: Lattice4, left: bool) -> list[Quaternion]:
         """The units of O = O_L(lat) (left) or O_R(lat), as in `units`."""
         p, alg = self.alg.p, self.alg
         rows = lat._minimal_rows()
-        y = rows[0]
+        # 1 = (den, 0, 0, 0)/den is a minimal vector of the order's own lattice
+        y = (lat.den, 0, 0, 0) if lat is self.lattice else rows[0]
         ybar = (y[0], -y[1], -y[2], -y[3])
         # y^-1*s = conj(y)*s/Nrd(y): over lat.den the dens cancel, nrd(y) remains
         ny = qnrd(y, p)
@@ -605,19 +603,18 @@ def two_sided_prime(order: Order) -> Ideal:
     """The unique two-sided ideal of reduced norm p (the ramified prime).
 
     For a maximal order, P^2 = p*O, so P = p*O^#, where O^# is the dual of O
-    under Trd(x*conj(y)).  With basis rows M over den, the trace form has the
-    integer Gram matrix G = 2*M*diag(1, 1, p, p)*M^T over den^2, and the dual
-    basis is den*G^-1*M, i.e. the rows den*adj(G)*M over det(G).
+    under Trd(x*conj(y)) = x*G*y^T with G = diag(2, 2, 2p, 2p).  For the basis
+    H/den the dual basis is den*H^-T*G^-1: its row t is column t of A/D, with
+    A = den*adj(H) and D = det(H) the kept inverse (`Lattice4._inverse`),
+    scaled by (1/2, 1/2, 1/(2p), 1/(2p)).  So P has the rows
+    (p*A0t, p*A1t, A2t, A3t) over 2D; A is upper triangular.
     """
     lat = order.lattice
-    p, mat, den = lat.alg.p, lat.mat, lat.den
-    diag = (1, 1, p, p)
-    gram = [[2 * sum(x[t] * diag[t] * y[t] for t in range(4)) for y in mat] for x in mat]
-    adj = [[_cofactor(gram, c, r) for c in range(4)] for r in range(4)]
-    det = _det4(gram)
-    rows = [[p * den * sum(adj[r][t] * mat[t][c] for t in range(4)) for c in range(4)]
-            for r in range(4)]
-    out = Ideal(Lattice4(lat.alg, rows, abs(det)), left=order, right=order)
+    p = lat.alg.p
+    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, d = lat._inverse()
+    rows = [(p * a00, 0, 0, 0), (p * a01, p * a11, 0, 0), (p * a02, p * a12, a22, 0),
+            (p * a03, p * a13, a23, a33)]
+    out = Ideal(Lattice4(lat.alg, rows, 2 * d), left=order, right=order)
     if out.nrd() != p:
         raise ArithmeticError("two-sided prime construction failed")
     return out

@@ -128,10 +128,10 @@ class QuatAlgebra:
         return Quaternion(self, tuple(c.numerator * (den // c.denominator) for c in co), den)
 
     def zero(self) -> "Quaternion":
-        return self.quaternion(0)
+        return Quaternion(self, (0, 0, 0, 0))
 
     def one(self) -> "Quaternion":
-        return self.quaternion(1)
+        return Quaternion(self, (1, 0, 0, 0))
 
     def gens(self):
         """The basis quaternions 1, i, j, k."""

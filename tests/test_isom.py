@@ -23,9 +23,10 @@ from quatisom import homframe, isom, orders
 from quatisom.homframe import transpose, mat_compose
 from quatisom.isom import (_bezout_split, _canonical_generator, _principal_generator,
                            conjugating_elements, is_isomorphic_order)
-from quatisom.linalg import enumerate_up_to
+from quatisom.linalg import enumerate_up_to, lll_reduce
 from quatisom.orders import (Ideal, Lattice4, Order, connecting_ideal, multiply_ideals, nrd_gram,
                              two_sided_prime)
+from quatisom.quat import Quaternion
 
 
 def test_principal_generator(o0_103, alg103):
@@ -63,6 +64,45 @@ def test_principal_generator_rejects_right_principal_lattice(o0_103, alg103):
     assert lat != o0_103.lattice.rmul_q(a)
     assert lat.min_nonzero_norm()[1] == a.reduced_norm()
     assert _principal_generator(lat, o0_103) is None
+
+
+def _principal_generator_by_index(lat, order):
+    """`_principal_generator`'s index-based body before `equals_rmul`: a
+    square index [order : lat], the minimal norm its root, and order*gen
+    inside lat."""
+    idx = lat.index_in(order.lattice)
+    num, den = isqrt(idx.numerator), isqrt(idx.denominator)
+    if num * num != idx.numerator or den * den != idx.denominator:
+        return None
+    gen, val = lat.min_nonzero_norm()
+    if val != Fraction(num, den) or not lat.contains_rmul(order.lattice, gen):
+        return None
+    return gen
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_principal_generator_matches_the_index_test(p):
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 11)
+    principal, other = [], []
+    for order in [o0] + [random_left_ideal(o0, 3, rng.randint(1, 4), rng).right_order()
+                         for _ in range(2)]:
+        for _ in range(3):
+            lat = order.lattice.rmul_q(_random_quaternion(alg, rng))
+            principal += [(lat, order), (lat.scale(Fraction(1, 3)), order)]
+            # a*O is a right ideal, generally not left-principal
+            other.append((order.lattice.lmul_q(_random_quaternion(alg, rng)), order))
+        # index 2: not a square
+        mat = order.lattice.mat
+        other.append((Lattice4(alg, [[2 * v for v in mat[0]], *mat[1:]], order.lattice.den), order))
+    for _ in range(6):
+        lat = random_left_ideal(o0, rng.choice((3, 5)), rng.randint(1, 4), rng).lattice
+        other += [(lat, o0), (lat.scale(Fraction(1, 3)), o0)]
+    results = [_principal_generator(lat, order) for lat, order in principal + other]
+    assert results == [_principal_generator_by_index(lat, order) for lat, order in principal + other]
+    assert None not in results[:len(principal)]
+    assert results[len(principal):].count(None) >= len(other) // 2
 
 
 def test_sum_kernel_ideal(o0_103):
@@ -737,12 +777,26 @@ def test_canonical_generator_matches_search(p):
 _J0_FRAME_503 = ([[1, 0, 334, 207], [0, 1, 279, 334], [0, 0, 486, 0], [0, 0, 0, 486]], 2)
 
 
+def _norm_one_elements(lat):
+    """The elements of reduced norm 1 of a lattice, both signs, by
+    enumeration of the vectors of integer form value den^2."""
+    gram, den = nrd_gram(lat.alg.p), lat.den
+    red, _ = lll_reduce([list(r) for r in lat.mat], gram)
+    out = []
+    for x, v in enumerate_up_to(red, gram, Fraction(den * den)):
+        if v == den * den:
+            row = tuple(sum(c * r[t] for c, r in zip(x, red)) for t in range(4))
+            out += [Quaternion(lat.alg, row, den), Quaternion(lat.alg, tuple(-c for c in row), den)]
+    return out
+
+
 @pytest.mark.parametrize("p", [103, 503, 1019])
 def test_units_from_the_ideal_match_the_norm_one_search(p):
-    """`units()` of an order made by `left_order`/`right_order` reads the
-    minimal vectors of its lattice; it must give the set that the search
-    for elements of norm 1 in the order gives, and `_canonical_generator`
-    must still pick what `_principal_generator` finds."""
+    """`units()` reads the minimal vectors of the lattice an order was made
+    from, or of its own lattice for O0, `Order(...)` and `conjugate_by`; it
+    must give the set that the search for elements of norm 1 in the order
+    gives, and `_canonical_generator` must still pick what
+    `_principal_generator` finds."""
     alg = QuatAlgebra(p)
     o0 = standard_extremal_order(alg)
     rng = random.Random(p + 7)
@@ -757,17 +811,24 @@ def test_units_from_the_ideal_match_the_norm_one_search(p):
     if p == 503:
         rows, den = _J0_FRAME_503
         special = conjugates + [orders.right_order(Lattice4(alg, rows, den))]
-    for order in made + special:
-        assert order._ideal is not None
+    # orders with no source ideal: O0, a public Order(...), a conjugate_by order
+    own = [o0, Order(made[0].lattice), o0.conjugate_by(_random_quaternion(alg, rng))]
+    assert all(o._ideal is not None for o in made + special)
+    assert all(o._ideal is None for o in own)
+    for order in made + special + own:
         units = order.units()
         assert len(units) == len(set(units))
-        assert set(units) == set(order.lattice.norm_value_vectors(Fraction(1)))
+        assert set(units) == set(_norm_one_elements(order.lattice))
         for _ in range(3):
             g = _random_quaternion(alg, rng)
             expected = _principal_generator(order.lattice.rmul_q(g), order)
             assert _canonical_generator(order, g) == expected
     assert {len(o.units()) for o in made} <= {2, 4, 6}
     assert [len(o.units()) for o in special] == [4, 4] + [6] * (p == 503)
+    assert [len(o.units()) for o in own] == [4, len(made[0].units()), 4]
+    if p == 103:
+        # O0's own minimal vectors, in the order its reduction gives them
+        assert o0.units() == [alg.quaternion(*c) for c in ((0, -1), (0, 1), (-1,), (1,))]
 
 
 def test_library_has_no_assert():

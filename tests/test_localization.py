@@ -6,7 +6,7 @@ import pytest
 
 from quatisom import QuatAlgebra, local_generator, random_left_ideal, rgcd_hnf, split_order
 from quatisom.linalg import hnf_rows
-from quatisom.localization import _mat_mul2
+from quatisom.localization import _mat_mul2, hnf2_mod
 from quatisom.orders import standard_extremal_order
 
 
@@ -168,6 +168,34 @@ def test_rgcd_examples():
         rgcd_hnf(((2, 0), (0, 3)), a, 3)  # pivot not a power of 3
     with pytest.raises(ValueError):
         rgcd_hnf(((3, 5), (0, 3)), a, 3)  # r not reduced mod the second pivot
+
+
+def _rgcd_fold(basis, split):
+    """The local normal form of a lattice as the right-gcd of its basis
+    elements' own normal forms, folded left to right."""
+    acc = None
+    for b in basis:
+        nf = hnf2_mod(split.to_matrix(b), split.ell, split.m)
+        acc = nf if acc is None else rgcd_hnf(acc, nf, split.ell)
+    return acc
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_one_normal_form_of_the_rows_is_the_rgcd_fold(ell):
+    for p in (103, 1019):
+        o0 = standard_extremal_order(QuatAlgebra(p))
+        rng = random.Random(ell * p)
+        for m in range(1, 7):
+            split = split_order(o0, ell, m)
+            lats = [random_left_ideal(o0, ell, m, rng).lattice for _ in range(3)]
+            if m >= 2:
+                # norm l^m but inside l*O0: not of type (0, m)
+                lats.append(random_left_ideal(o0, ell, m - 2, rng).lattice.scale(ell))
+            for lat in lats:
+                # the HNF basis and its reverse: neither form depends on the order
+                for basis in (lat.basis(), lat.basis()[::-1]):
+                    rows = [row for b in basis for row in split.to_matrix(b)]
+                    assert hnf2_mod(rows, ell, m) == _rgcd_fold(basis, split)
 
 
 def brute_rgcd(a1, a2, ell, m):

@@ -430,6 +430,38 @@ def _disk_remainders(p, n, c, d, t):
     return sorted(out)
 
 
+def _gauss_reduce_2d_reference(b1, b2):
+    """`_gauss_reduce_2d` with each step's mu taken as round(Fraction(...))."""
+    def norm(v):
+        return v[0] * v[0] + v[1] * v[1]
+
+    if norm(b1) > norm(b2):
+        b1, b2 = b2, b1
+    while True:
+        n1 = norm(b1)
+        mu = round(Fraction(b1[0] * b2[0] + b1[1] * b2[1], n1))
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+        if norm(b2) >= n1:
+            return b1, b2
+        b1, b2 = b2, b1
+
+
+def test_gauss_reduce_2d_matches_fraction_rounding():
+    rng = random.Random(5)
+    cases = []
+    for bits in (6, 20, 70):
+        for _ in range(1000):
+            b1, b2 = [tuple(rng.randint(-2 ** bits, 2 ** bits) for _ in range(2)) for _ in range(2)]
+            if any(b1) and any(b2):
+                cases.append((b1, b2))
+    # exact half ties on the first step: <b1, b2>/Nrd(b1) = k + 1/2, both parities of k
+    ties = [((2 * t, 0), ((2 * k + 1) * t, y)) for t in (1, 3, 10) for k in range(-7, 8)
+            for y in (-41 * t, 41 * t)]
+    assert all(Fraction(b1[0] * b2[0], b1[0] ** 2).denominator == 2 for b1, b2 in ties)
+    for b1, b2 in cases + ties:
+        assert normeq._gauss_reduce_2d(b1, b2) == _gauss_reduce_2d_reference(b1, b2)
+
+
 def test_strong_approximation_walks_the_whole_disk(monkeypatch):
     rng = random.Random(71)
     outcomes = []

@@ -196,6 +196,39 @@ def test_two_sided_prime_of_maximal_orders(p):
         assert lat.mul(lat) == order.lattice.scale(p)
 
 
+def _two_sided_prime_reference(order):
+    """p*O^# from the Gram matrix G of Trd(x*conj(y)) on the basis rows M
+    over den: the dual basis is den*G^-1*M, the rows den*adj(G)*M over
+    det(G)."""
+    lat = order.lattice
+    p, mat, den = lat.alg.p, lat.mat, lat.den
+    diag = (1, 1, p, p)
+    gram = [[2 * sum(x[t] * diag[t] * y[t] for t in range(4)) for y in mat] for x in mat]
+
+    def cofactor(r, c):
+        (a, b, e), (d, f, g), (h, i, j) = [row[:c] + row[c + 1:]
+                                           for t, row in enumerate(gram) if t != r]
+        return (-1) ** (r + c) * (a * (f * j - g * i) - b * (d * j - g * h) + e * (d * i - f * h))
+
+    adj = [[cofactor(c, r) for c in range(4)] for r in range(4)]
+    rows = [[p * den * sum(adj[r][t] * mat[t][c] for t in range(4)) for c in range(4)]
+            for r in range(4)]
+    return Lattice4(lat.alg, rows, abs(_det4(gram)))
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_two_sided_prime_matches_the_gram_adjugate_reference(p):
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 3)
+    orders = [o0] + [random_left_ideal(o0, ell, m, rng).right_order()
+                     for ell, m in ((3, 2), (5, 1), (7, 2), (3, 5))]
+    g = alg.quaternion(1, 2, Fraction(1, 3), -1)
+    orders += [o0.conjugate_by(g), Order(orders[1].lattice), orders[2].conjugate_by(g)]
+    for order in orders:
+        assert two_sided_prime(order).lattice == _two_sided_prime_reference(order)
+
+
 def _left_order_reference(lat):
     """O_L(L) as the intersection of the four lattices L*b^-1 over the basis b."""
     acc = None
