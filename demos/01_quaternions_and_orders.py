@@ -43,7 +43,7 @@ print("left order is O0 again:", ideal.left_order() == o0)
 print("right order is maximal:", ideal.right_order().is_maximal())
 
 # I * conj(I) = Nrd(I) * O0, the basic norm identity
-prod = multiply_ideals(ideal, ideal.conjugate(), check_compatible=False)
+prod = multiply_ideals(ideal, ideal.conjugate())
 print("I * conj(I) = Nrd(I) * O0:", prod.lattice == o0.lattice.scale(ideal.nrd()))
 
 # principal ideals: Nrd(O0 * x) = Nrd(x)

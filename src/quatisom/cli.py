@@ -88,13 +88,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _instance_ideals(alg, data, need: int) -> list[Ideal]:
-    raw = data.get("ideals")
-    if raw is None or len(raw) < need:
-        raise InputError(f"instance must provide at least {need} ideals")
-    return [ideal_from_json(d, alg) for d in raw[:need]]
-
-
 def _emit_result(args, alg, matrix, certificate=None) -> int:
     # the pipelines prove the Kani degree and a certificate's identities;
     # what is left of `verify_certificate` is the check of its kernel ideals
@@ -108,10 +101,29 @@ def _emit_result(args, alg, matrix, certificate=None) -> int:
     return EXIT_OK
 
 
-def cmd_complete(args) -> int:
+def _file_int(args, data, name: str, default: int) -> int:
+    """The command's --name when given, else the instance file's, else default."""
+    value = getattr(args, name)
+    return value if value is not None else int(data.get(name, default))
+
+
+def _instance(args, need) -> tuple[dict, QuatAlgebra, list[Ideal], random.Random | None]:
+    """The data, algebra, first ideals and random generator of the instance
+    file: `need` ideals, or `need(data)` for a function of the data.  Only
+    a command with --seed gets a generator, seeded as `_file_int` reads it."""
     data = _load(args.infile)
     alg = QuatAlgebra(int(data["p"]))
-    i11, i21 = _instance_ideals(alg, data, 2)
+    need = need(data) if callable(need) else need
+    raw = data.get("ideals")
+    if raw is None or len(raw) < need:
+        raise InputError(f"instance must provide at least {need} ideals")
+    ideals = [ideal_from_json(d, alg) for d in raw[:need]]
+    rng = random.Random(_file_int(args, data, "seed", 0)) if "seed" in args else None
+    return data, alg, ideals, rng
+
+
+def cmd_complete(args) -> int:
+    _, alg, (i11, i21), _ = _instance(args, 2)
     base = base_node(alg)
     n1p = node_from_ideal(i11)
     n2p = node_from_ideal(i21)
@@ -121,31 +133,22 @@ def cmd_complete(args) -> int:
 
 
 def cmd_lowdisc(args) -> int:
-    data = _load(args.infile)
-    alg = QuatAlgebra(int(data["p"]))
-    (i11,) = _instance_ideals(alg, data, 1)
-    rng = random.Random(args.seed if args.seed is not None else int(data.get("seed", 0)))
-    ell = args.ell if args.ell is not None else int(data.get("ell", 3))
+    data, alg, (i11,), rng = _instance(args, 1)
+    ell = _file_int(args, data, "ell", 3)
     res = low_discriminant_isomorphism(node_from_ideal(i11), ell, rng)
     return _emit_result(args, alg, res.matrix, res.certificate)
 
 
 def cmd_isom_e0(args) -> int:
-    data = _load(args.infile)
-    alg = QuatAlgebra(int(data["p"]))
-    i1, i2 = _instance_ideals(alg, data, 2)
-    rng = random.Random(args.seed if args.seed is not None else int(data.get("seed", 0)))
+    _, alg, (i1, i2), rng = _instance(args, 2)
     mat = isomorphism_E0(node_from_ideal(i1), node_from_ideal(i2), rng)
     return _emit_result(args, alg, mat)
 
 
 def cmd_isom2(args) -> int:
-    data = _load(args.infile)
-    alg = QuatAlgebra(int(data["p"]))
-    ideals = _instance_ideals(alg, data, 4)
-    rng = random.Random(args.seed if args.seed is not None else int(data.get("seed", 0)))
+    _, alg, ideals, rng = _instance(args, 4)
     nodes = [node_from_ideal(i) for i in ideals]
-    mat = isom_two_products(nodes[0], nodes[1], nodes[2], nodes[3], rng)
+    mat = isom_two_products(*nodes, rng)
     return _emit_result(args, alg, mat)
 
 
@@ -153,13 +156,14 @@ def cmd_isom_g(args) -> int:
     """g-1 factors, factor i acting on coordinates (i, i+1); for g >= 3 the
     coordinates between factors hold E0.  `isom_g_products` walks the chain
     and checks every factor's degree before it returns."""
-    data = _load(args.infile)
-    alg = QuatAlgebra(int(data["p"]))
-    g = args.g if args.g is not None else int(data.get("g", 2))
-    if g < 2:
-        raise InputError("g must be at least 2")
-    ideals = _instance_ideals(alg, data, 2 * g)
-    rng = random.Random(args.seed if args.seed is not None else int(data.get("seed", 0)))
+    def need(data) -> int:  # two ideals per coordinate
+        g = _file_int(args, data, "g", 2)
+        if g < 2:
+            raise InputError("g must be at least 2")
+        return 2 * g
+
+    _, alg, ideals, rng = _instance(args, need)
+    g = len(ideals) // 2
     sources = [node_from_ideal(i) for i in ideals[:g]]
     targets = [node_from_ideal(i) for i in ideals[g:]]
     chain = isom_g_products(sources, targets, rng)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .orders import Ideal, Lattice4, Order, multiply_ideals
+from .orders import Ideal, Lattice4, Order
 from .quat import Quaternion
 
 
@@ -28,10 +28,9 @@ def _checked_divisor(o2: Order, ideal: Ideal, lat: Lattice4, target: Lattice4) -
     """The left O2-ideal on lat, after checking lat <= O2 and I*lat = target."""
     if not o2.lattice.contains_lattice(lat):
         raise NotDivisibleError("the divisor is not integral: no exact divisor exists")
-    j_ideal = Ideal(lat, left=o2)
-    if multiply_ideals(ideal, j_ideal, check_compatible=False).lattice != target:
+    if ideal.lattice.mul(lat) != target:
         raise NotDivisibleError("I*J differs from the dividend: no exact divisor exists")
-    return j_ideal
+    return Ideal(lat, left=o2)
 
 
 def integer_ideal_divide(o1: Order, o2: Order, ideal: Ideal, d: int) -> Ideal:

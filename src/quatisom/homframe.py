@@ -16,7 +16,7 @@ from math import isqrt
 
 from .orders import (Ideal, Lattice4, Order, VerificationError,  # noqa: F401 (re-exported)
                      _check, multiply_ideals, standard_extremal_order)
-from .quat import QuatAlgebra, Quaternion, qmul, qnrd
+from .quat import QuatAlgebra, Quaternion, qnrd
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,8 @@ def extend_node(node: Node, k_ideal: Ideal) -> tuple[Node, "Mor"]:
     """
     if k_ideal.left_order() != node.order:
         raise ValueError("K must be a left ideal of the node's order")
-    frame = multiply_ideals(node.frame, k_ideal)
-    frame._right = k_ideal.right_order()
-    new = Node(frame=frame)
+    k_ideal.right_order()  # O_R(frame*K) = O_R(K): the product takes it
+    new = Node(frame=multiply_ideals(node.frame, k_ideal))
     return new, Mor(node, new, node.alg.one())
 
 
@@ -206,17 +205,15 @@ def kernel_ideal_equals(f: Mor, lat: Lattice4) -> bool:
     conj(frame(src)) and frame(dst) are invertible and meet in O0, so
     kernel_ideal(f) has reduced norm deg(f) and left order O(src), which is
     maximal: its covolume is deg(f)^2/4.  It lies in lat when its 16
-    generators conj(x)*y*elem/Nrd(frame(src)), x and y rows of the frames,
-    do; with equal covolumes it is then lat.  The zero morphism has no
+    generators x*y*elem/Nrd(frame(src)), x and y basis rows of
+    conj(frame(src)) and frame(dst), do (`Lattice4.contains_product`);
+    with equal covolumes it is then lat.  The zero morphism has no
     kernel ideal and equals no lattice.
     """
     if f.is_zero() or 4 * lat._diag() != f.degree() ** 2 * lat.den ** 4:
         return False
-    p, b = f.alg.p, f.elem
-    src, dst = f.src.frame.lattice, f.dst.frame.lattice
-    gens = [qmul(y, b.num, p) for y in dst.mat]
-    rows = [qmul((x[0], -x[1], -x[2], -x[3]), g, p) for x in src.mat for g in gens]
-    return lat._contains_rows(rows, src.den * dst.den * b.den * f.src.frame_norm())
+    return lat.contains_product(f.src.frame.conjugate().lattice, f.dst.frame.lattice,
+                                f.elem / f.src.frame_norm())
 
 
 @dataclass(frozen=True)
@@ -363,14 +360,18 @@ class Certificate:
         O_R(A) = O_R(I11): a certificate passes only in the presentation
         stated above.
         """
+        psi_bar = self.i_psi.conjugate().lattice
+        return self._verify_products(o2, psi_bar.mul(self.i11.lattice),
+                                     psi_bar.mul(self.i21.lattice))
+
+    def _verify_products(self, o2: Order, j11: Lattice4, j21: Lattice4) -> bool:
+        """`verify` given J11 = conj(I_psi)*I11 and J21 = conj(I_psi)*I21,
+        which a completion has already built; the checks are `verify`'s."""
         if self.xi11.is_zero() or self.xi21.is_zero() or not o2.is_maximal():
             return False  # O2*0 is no lattice, and (a) needs a maximal O2
         xi = self.xi11 * self.d21 - self.xi21 * self.d11
         if xi.reduced_norm() != self.d11 * self.d21 * self.i_psi.nrd():
             return False
-        psi_bar = self.i_psi.conjugate().lattice
-        j11 = psi_bar.mul(self.i11.lattice)
-        j21 = psi_bar.mul(self.i21.lattice)
         if not (j11.contains(self.xi11) and j21.contains(self.xi21)):
             return False
         return (_division_identity(o2, j11, self.i12.conjugate().lattice, self.xi11)

@@ -164,8 +164,9 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     J21 = conj(I_psi)*I21, the target is isomorphic to the quotient by
     ker + ker exactly when jk = d21*J11 + d11*J21 = O2*xi is principal.  xi
     splits as d21*(u*xi) - d11*(v*xi), and I12 = conj(xi11)*J11/Nrd(J11) (resp.
-    21/22) in closed form.  `Certificate.verify` alone checks the split and
-    the division identities, before the entries are built.
+    21/22) in closed form.  The check `Certificate.verify` runs, given the
+    J11 and J21 built here, alone checks the split and the division
+    identities, before the entries are built.
 
     The unknowns b11, b21, xi generate principal ideals: frame(n1p)*b11 =
     frame(n1)*I11, frame(n2p)*b21 = frame(n1)*I21 and O2*xi = jk.  Pipelines
@@ -196,12 +197,10 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     f2 = n2.frame.lattice
     i_psi = Ideal(f2 if n1.is_base() else n1.frame.lattice.conjugate().mul(f2),
                   left=o1, right=o2)
-    n_psi = i_psi.nrd()
+    i_psi.nrd()  # kept on I_psi, so conj(I_psi), J11 and J21 carry their norms
     psi_bar = i_psi.conjugate()
-    j11 = multiply_ideals(psi_bar, i11, check_compatible=False)
-    j11._nrd = n_psi * d11
-    j21 = multiply_ideals(psi_bar, i21, check_compatible=False)
-    j21._nrd = n_psi * d21
+    j11 = multiply_ideals(psi_bar, i11)
+    j21 = multiply_ideals(psi_bar, i21)
     if generators is None:
         jk = j11.lattice.scale(d21).add(j21.lattice.scale(d11))
         xi = _principal_generator(jk, o2)
@@ -233,7 +232,8 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
     cert = Certificate(i_psi=i_psi, i11=i11, i21=i21, i12=i12, i22=i22,
                        xi11=xi11, xi21=xi21, d11=d11, d21=d21)
     # xi11 in J11 makes W integral; the check proves it and both identities
-    _check(cert.verify(o2), "the completion certificate does not verify")
+    _check(cert._verify_products(o2, j11.lattice, j21.lattice),
+           "the completion certificate does not verify")
 
     # I_psi is realized by the scalar s = Nrd(F1): b12 = b11*conj(s)*conj(xi11)/(d11*Nrd(s))
     f1 = n1.frame_norm()
@@ -404,13 +404,10 @@ def conjugating_elements(o_from: Order, o_to: Order) -> list[Quaternion]:
         return []
     out = []
     conn = connecting_ideal(o_to, o_from)
-    g = _principal_generator(conn.lattice, o_to)
-    if g is not None:
-        out.append(g)
-    twisted = multiply_ideals(conn, two_sided_prime(o_from), check_compatible=False)
-    g = _principal_generator(twisted.lattice, o_to)
-    if g is not None:
-        out.append(g)
+    for ideal in (conn, multiply_ideals(conn, two_sided_prime(o_from))):
+        g = _principal_generator(ideal.lattice, o_to)
+        if g is not None:
+            out.append(g)
     return out
 
 
@@ -523,20 +520,19 @@ def verify_ideal_quadruple(i11: Ideal, i21: Ideal, i12: Ideal, i22: Ideal) -> Qu
 
     # realign the second-column ideals into the reconstructed embedding and
     # recover morphism candidates (up to automorphism twists on both sides)
-    cands12 = []
-    for w in _realign_column_ideal(i12, i11.right_order()):
-        e = _solve_morphism_elem(n1p, n2, w)
-        if e is not None:
-            cands12.append(dual(Mor(n1p, n2, e)))
-    if not cands12:
-        return QuadrupleReport(False, "I12 is not realizable against the reconstructed quotient")
-    cands22 = []
-    for w in _realign_column_ideal(i22, i21.right_order()):
-        e = _solve_morphism_elem(n2p, n2, w)
-        if e is not None:
-            cands22.append(dual(Mor(n2p, n2, e)))
-    if not cands22:
-        return QuadrupleReport(False, "I22 is not realizable against the reconstructed quotient")
+    cands = []
+    for name, x, o_r, src in (("I12", i12, i11.right_order(), n1p),
+                              ("I22", i22, i21.right_order(), n2p)):
+        found = []
+        for w in _realign_column_ideal(x, o_r):
+            e = _solve_morphism_elem(src, n2, w)
+            if e is not None:
+                found.append(dual(Mor(src, n2, e)))
+        if not found:
+            return QuadrupleReport(False,
+                                   f"{name} is not realizable against the reconstructed quotient")
+        cands.append(found)
+    cands12, cands22 = cands
 
     u1s, u2s = n1p.order.units(), n2p.order.units()
     ws = n2.order.units()

@@ -8,7 +8,6 @@ Hermite normal form so that structural equality is mathematical equality.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import product
 from fractions import Fraction
 from math import gcd, lcm, isqrt
@@ -37,22 +36,6 @@ def nrd_gram(p: int) -> list[list[int]]:
     integer diagonal (1, 1, p, p)."""
     d = [1, 1, p, p]
     return [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]
-
-
-def _det3(a, b, c, d, e, f, g, h, i) -> int:
-    """Determinant of the 3x3 matrix with rows (a, b, c), (d, e, f), (g, h, i)."""
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _det4(m) -> int:
-    """Determinant of a 4x4 integer matrix by cofactor expansion."""
-    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
-    return (
-        m00 * _det3(m11, m12, m13, m21, m22, m23, m31, m32, m33)
-        - m01 * _det3(m10, m12, m13, m20, m22, m23, m30, m32, m33)
-        + m02 * _det3(m10, m11, m13, m20, m21, m23, m30, m31, m33)
-        - m03 * _det3(m10, m11, m12, m20, m21, m22, m30, m31, m32)
-    )
 
 
 class Lattice4:
@@ -205,7 +188,18 @@ class Lattice4:
         return Lattice4(self.alg, rows, d)
 
     def mul(self, other: "Lattice4") -> "Lattice4":
-        return _lattice_mul(self, other)
+        """self*other from the 16 products of basis rows.
+
+        When 1 is in self and self*other <= other, the product is other
+        (other = 1*other <= self*other), decided on the 16 products with no
+        HNF: a ring acting on a lattice, such as conj(O0)*I = I for a left
+        O0-ideal I, costs no reduction.
+        """
+        if self._contains_rows(((1, 0, 0, 0),), 1) and other.contains_product(self, other):
+            return other
+        p = self.alg.p
+        return Lattice4(self.alg, [qmul(x, y, p) for x in self.mat for y in other.mat],
+                        self.den * other.den)
 
     def scale(self, c) -> "Lattice4":
         """c*L without a new HNF: a positive multiple of an HNF basis is in
@@ -297,23 +291,6 @@ class Lattice4:
         red = reduction[0]
         _, _, xs = _least(reduction, self._least_bound())
         return [[sum(x[t] * red[t][c] for t in range(4)) for c in range(4)] for x in xs]
-
-
-@lru_cache(maxsize=8)
-def _lattice_mul(a: Lattice4, b: Lattice4) -> Lattice4:
-    """a*b from the 16 products of basis rows, memoized by value.
-
-    When 1 is in a and a*b <= b, a*b is b (b = 1*b <= a*b), decided on the
-    16 products with no HNF: a ring acting on a lattice, such as
-    conj(O0)*I = I for a left O0-ideal I, costs no reduction.  A completion
-    builds J11 and J21, and its certificate check builds them again; the
-    few most recent products are kept so each is reduced once.  Lattices
-    are immutable, so a kept result can be shared.
-    """
-    if a._contains_rows(((1, 0, 0, 0),), 1) and b.contains_product(a, b):
-        return b
-    p = a.alg.p
-    return Lattice4(a.alg, [qmul(x, y, p) for x in a.mat for y in b.mat], a.den * b.den)
 
 
 def _unit_order(lat: Lattice4, left: bool) -> "Order":
@@ -571,14 +548,13 @@ class Ideal:
         return self._conj
 
 
-def multiply_ideals(i: Ideal, j: Ideal, *, check_compatible: bool = True) -> Ideal:
-    """Product lattice I*J; with check_compatible, O_R(I) must equal O_L(J)."""
-    if check_compatible and i.right_order() != j.left_order():
+def multiply_ideals(i: Ideal, j: Ideal) -> Ideal:
+    """The product I*J, for O_R(I) = O_L(J) (ValueError otherwise); its
+    reduced norm is Nrd(I)*Nrd(J) when both are known."""
+    if i.right_order() != j.left_order():
         raise ValueError("incompatible ideals: O_R(I) != O_L(J)")
-    out = Ideal(i.lattice.mul(j.lattice), left=i._left, right=j._right)
-    if check_compatible and i._nrd is not None and j._nrd is not None:
-        out._nrd = i._nrd * j._nrd
-    return out
+    nrd = None if i._nrd is None or j._nrd is None else i._nrd * j._nrd
+    return Ideal(i.lattice.mul(j.lattice), left=i._left, right=j._right, nrd=nrd)
 
 
 def principal_ideal(order: Order, gamma: Quaternion) -> Ideal:

@@ -56,12 +56,14 @@ def test_lowdisc_and_verify_flow(tmp_path):
 
 def test_lowdisc_verifies_its_certificate_once(tmp_path, monkeypatch):
     # the completion proves the certificate identities; before writing, the
-    # CLI compares only the kernel ideals
+    # CLI compares only the kernel ideals.  Certificate.verify builds J11
+    # and J21 and runs the check the completion runs on its own
     from quatisom.homframe import Certificate
 
     calls = []
-    verify = Certificate.verify
-    monkeypatch.setattr(Certificate, "verify", lambda self, o2: calls.append(1) or verify(self, o2))
+    check = Certificate._verify_products
+    monkeypatch.setattr(Certificate, "_verify_products",
+                        lambda self, *args: calls.append(1) or check(self, *args))
     inst = tmp_path / "inst.json"
     assert run_cli(["gen", "--p", "103", "--ell", "3", "--m", "4", "--seed", "4",
                     "--out", str(inst)]) == 0

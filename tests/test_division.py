@@ -23,7 +23,7 @@ def test_division_conjugate_oracle(o0_103):
         j = integer_ideal_divide(o0_103, o2, i, d)
         assert j.lattice == i.lattice.conjugate()
         assert i.nrd() * j.nrd() == d * d
-        prod = multiply_ideals(i, j, check_compatible=False)
+        prod = multiply_ideals(i, j)
         assert prod.lattice == o0_103.lattice.scale(d)
 
 
@@ -79,7 +79,7 @@ def test_principal_division_element_oracle(o0_103):
         j = principal_ideal_divide(o0_103, o2, mu, i)
         expected = i.lattice.conjugate().rmul_q(mu).scale(Fraction(1, i.nrd()))
         assert j.lattice == expected
-        prod = multiply_ideals(i, j, check_compatible=False)
+        prod = multiply_ideals(i, j)
         assert prod.lattice == o0_103.lattice.rmul_q(mu)
         assert i.nrd() * j.nrd() == mu.reduced_norm()
 
@@ -112,4 +112,4 @@ def test_closed_form_division_random_ideals(p):
         mu = sum((c * b for c, b in zip(coeffs[1:], i.basis()[1:])), coeffs[0] * i.basis()[0])
         j = principal_ideal_divide(o0, o2, mu, i)
         assert j.lattice == i.lattice.conjugate().rmul_q(mu).scale(Fraction(1, n))
-        assert multiply_ideals(i, j, check_compatible=False).lattice == o0.lattice.rmul_q(mu)
+        assert multiply_ideals(i, j).lattice == o0.lattice.rmul_q(mu)

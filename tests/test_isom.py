@@ -576,7 +576,6 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
         return hnf_rows(mat)
 
     def counted_completion(*args, **kwargs):
-        orders._lattice_mul.cache_clear()  # count every product the completion needs
         counts.append(0)
         totals.append(0)
         lowdisc.append(args[2].is_base())  # n2 = E0: I_psi = O0
@@ -664,7 +663,7 @@ def test_closed_form_xi_matches_search(monkeypatch, p):
         psi_bar = cert.i_psi.conjugate()
         for i_first, i_second, xi in ((cert.i11, cert.i12, cert.xi11),
                                       (cert.i21, cert.i22, cert.xi21)):
-            j = multiply_ideals(psi_bar, i_first, check_compatible=False)
+            j = multiply_ideals(psi_bar, i_first)
             w = principal_ideal_divide(args[2].order, i_first.right_order(), xi, j)
             assert i_second == w.conjugate()
             # the closed-form reduced norm Nrd(xi)/Nrd(J) is the lattice's own
@@ -726,17 +725,49 @@ def test_containment_checks_match_the_reduced_lattices(p):
 
 
 def test_swapped_certificate_fails_with_warm_product_memo(o0_103):
-    # right after a completion its products are memoized; the benchmark's
-    # negative control (I12 replaced by I22) must still be rejected
+    # right after its completion, the benchmark's negative control (I12
+    # replaced by I22) must be rejected
     res = low_discriminant_isomorphism(node_from_ideal(random_left_ideal(o0_103, 5, 3,
                                                                          random.Random(97))),
                                        3, random.Random(98))
     cert = res.certificate
-    assert orders._lattice_mul.cache_info().currsize > 0
     assert cert.i12 != cert.i22
     assert cert.verify(o0_103)
     assert not replace(cert, i12=cert.i22).verify(o0_103)
     assert not replace(cert, i22=cert.i12).verify(o0_103)
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_completion_check_matches_certificate_verify(monkeypatch, p):
+    # the completion hands the J11 and J21 it built to the certificate's
+    # check; given them, the check must agree with Certificate.verify, which
+    # builds them afresh, on the completion's own certificate and on forged
+    # ones, on both routes
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 11)
+    seen = []
+    check = homframe.Certificate._verify_products
+
+    def recording(self, o2, j11, j21):
+        seen.append((o2, j11, j21))
+        return check(self, o2, j11, j21)
+
+    for args, gens in (_pipeline_column(o0, rng), _lowdisc_column(o0, rng)):
+        with monkeypatch.context() as patch:
+            patch.setattr(homframe.Certificate, "_verify_products", recording)
+            cert = isomorphism_completion(*args, generators=gens).certificate
+        o2, j11, j21 = seen.pop()
+        assert not seen and o2 is args[2].order
+        psi_bar = cert.i_psi.conjugate().lattice
+        assert (j11, j21) == (psi_bar.mul(cert.i11.lattice), psi_bar.mul(cert.i21.lattice))
+        assert cert.i12 != cert.i22
+        for forged, ok in ((cert, True),
+                           (replace(cert, i12=cert.i22), False),
+                           (replace(cert, i22=cert.i12), False),
+                           (replace(cert, i12=cert.i22, i22=cert.i12), False),
+                           (replace(cert, xi11=cert.xi11 * alg.quaternion(1, 1)), False)):
+            assert forged._verify_products(o2, j11, j21) == forged.verify(o2) == ok
 
 
 def _random_quaternion(alg, rng):
@@ -875,7 +906,7 @@ def _conjugating_elements_reference(o_from, o_to):
     g = _principal_generator_reference(conn.lattice, o_to)
     if g is not None:
         out.append(g)
-    twisted = multiply_ideals(conn, two_sided_prime(o_from), check_compatible=False)
+    twisted = multiply_ideals(conn, two_sided_prime(o_from))
     g = _principal_generator_reference(twisted.lattice, o_to)
     if g is not None:
         out.append(g)

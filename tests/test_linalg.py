@@ -555,7 +555,6 @@ def test_each_lattice_is_reduced_once(monkeypatch):
     O0 and the lattice products built afresh."""
     alg = QuatAlgebra(503)
     monkeypatch.setattr(orders, "_EXTREMAL_ORDERS", {})
-    orders._lattice_mul.cache_clear()
     o0 = standard_extremal_order(alg)
     rng = random.Random(25)
     nodes = [node_from_ideal(random_left_ideal(o0, ell, 3, rng)) for ell in (3, 5, 3)]
