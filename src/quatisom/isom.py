@@ -89,44 +89,13 @@ def _solve_morphism_elem(src, dst, ideal: Ideal) -> Quaternion | None:
     return _principal_generator(lat, dst.order)
 
 
-def _canonical_generator(order: Order, b: Quaternion) -> Quaternion:
-    """The generator of order*b that `_principal_generator` returns, from b.
-
-    The minimal-norm elements of order*b are u*b for the units u, and
-    `shortest_vector` keeps the one whose coefficients c on the HNF basis H
-    of order*b have a positive first nonzero entry and are lexicographically
-    smallest.  H is upper triangular with a positive diagonal, so coordinate
-    t of c*H is c[t]*H[t][t] plus terms in c[0..t-1]: the (1, i, j, k)
-    coordinates have the same first nonzero sign and the same lexicographic
-    order as c.  The candidates are ranked on those coordinates, with no HNF:
-    x.num/x.den < y.num/y.den lexicographically exactly when x.num*y.den <
-    y.num*x.den is, as both denominators are positive.
-    """
-    best = None
-    for gen in (u * b for u in order.units()):
-        if next(c for c in gen.num if c) > 0 and (
-                best is None or [c * best.den for c in gen.num] < [c * gen.den for c in best.num]):
-            best = gen
-    return best
-
-
-def _known_generator(lat, order: Order, target, g: Quaternion) -> Quaternion:
-    """`_canonical_generator(order, g)` for order = O_R(lat), once
-    lat*g = target is checked (`Lattice4.equals_rmul`: containment and
-    covolume, no HNF); VerificationError when it does not hold."""
-    if not target.equals_rmul(lat, g):
-        raise VerificationError("a given generator does not solve its ideal equation")
-    return _canonical_generator(order, g)
-
-
 def _known_morphism_elem(src, dst, ideal: Ideal, b: Quaternion) -> Quaternion:
-    """`_solve_morphism_elem(src, dst, ideal)` from a known solution b.
-
-    Raises VerificationError unless frame(dst)*b = frame(src)*ideal.
-    """
-    target = _frame_times(src, ideal.lattice)
-    b = _known_generator(dst.frame.lattice, dst.order, target, b)
-    return src.alg.one() if dst.frame.lattice == target else b
+    """b, once frame(dst)*b = frame(src)*ideal is checked
+    (`Lattice4.equals_rmul`: containment and covolume, no HNF); raises
+    VerificationError when it does not hold."""
+    if not _frame_times(src, ideal.lattice).equals_rmul(dst.frame.lattice, b):
+        raise VerificationError("a given generator does not solve its ideal equation")
+    return b
 
 
 def _jk_inside(o2: Order, j11, j21, d11: int, d21: int, g: Quaternion) -> bool:
@@ -170,12 +139,13 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
 
     The unknowns b11, b21, xi generate principal ideals: frame(n1p)*b11 =
     frame(n1)*I11, frame(n2p)*b21 = frame(n1)*I21 and O2*xi = jk.  Pipelines
-    pass the three they hold as `generators`; each is checked exactly
-    (VerificationError) and normalized to the element the search would
-    find, so the output does not depend on which was given.  b11 and b21
-    are checked by `_known_generator`; g by jk <= O2*g and, through the
-    certificate check, g in jk, so jk is never built.  Without them the
-    search runs on jk; a miss raises CompletionPreconditionError.
+    pass the three they hold as `generators`, and each is used as given
+    once it is checked exactly (VerificationError): b11 and b21 by
+    `_known_morphism_elem`, g by jk <= O2*g and, through the certificate
+    check, g in jk, so jk is never built.  A generator is unique up to a
+    unit of its order, so a given one may differ from the searched one by
+    such a unit.  Without them the search runs on jk; a miss raises
+    CompletionPreconditionError.
     """
     o1, o2 = n1.order, n2.order
     if i11.left_order() != o1 or i21.left_order() != o1:
@@ -214,7 +184,7 @@ def isomorphism_completion(n1, n1p, n2, n2p, i11: Ideal, i21: Ideal, *,
         # put xi11 in J11 and xi21 in J21 (VerificationError when it has not)
         if not _jk_inside(o2, j11.lattice, j21.lattice, d11, d21, generators[2]):
             raise VerificationError("a given generator does not solve its ideal equation")
-        xi = _canonical_generator(o2, generators[2])
+        xi = generators[2]
 
     # d21*J11 <= J21 and d11*J21 <= J11, so xi lies in J11 and in J21
     u, v = _bezout_split(d11, d21)
@@ -382,7 +352,6 @@ def isom_g_products(sources, targets, rng: random.Random | None = None) -> list[
 class QuadrupleReport:
     ok: bool
     reason: str
-    unit_witnesses: tuple[Quaternion, ...] | None = None
 
 
 def conjugating_elements(o_from: Order, o_to: Order) -> list[Quaternion]:
@@ -486,7 +455,7 @@ def verify_ideal_quadruple(i11: Ideal, i21: Ideal, i12: Ideal, i22: Ideal) -> Qu
     I11, I21 are left ideals of a common order O1; I12 and I22 carry right
     order O_R(I11), O_R(I21) (so their conjugates are the duals' kernel
     ideals), the presentation of the worked examples.  Searches the residual
-    automorphism choices (at most 6^4 per pair of candidates: a unit group
+    automorphism choices (at most 6^3 per pair of candidates: a unit group
     has at most 6 elements).
     """
     o1 = i11.left_order()
@@ -534,15 +503,17 @@ def verify_ideal_quadruple(i11: Ideal, i21: Ideal, i12: Ideal, i22: Ideal) -> Qu
         cands.append(found)
     cands12, cands22 = cands
 
+    # twisting both m12 and m22 by a unit w of O2 is M*diag(1, w), of the
+    # degree of M, so m12 needs no twist on the right
     u1s, u2s = n1p.order.units(), n2p.order.units()
     ws = n2.order.units()
     for m12 in cands12:
         for m22 in cands22:
-            for u1, w1 in product(u1s, ws):
-                e12 = u1 * m12.elem * w1
+            for u1 in u1s:
+                e12 = Mor(n2, n1p, u1 * m12.elem)
                 for u2, w2 in product(u2s, ws):
-                    mat = Mor2x2(m11=m11, m12=Mor(n2, n1p, e12),
+                    mat = Mor2x2(m11=m11, m12=e12,
                                  m21=m21, m22=Mor(n2, n2p, u2 * m22.elem * w2))
                     if kani_degree(mat) == 1:
-                        return QuadrupleReport(True, "isomorphism witnessed", (u1, w1, u2, w2))
+                        return QuadrupleReport(True, "isomorphism witnessed")
     return QuadrupleReport(False, "no automorphism combination reaches degree 1")

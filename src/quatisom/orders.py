@@ -307,8 +307,7 @@ def _unit_order(lat: Lattice4, left: bool) -> "Order":
     ValueError when the order of L is not maximal.
 
     4*covolume is 4*D/den^4 with D = `_diag()`, a rational square exactly
-    when 4*D is an integer square s^2; then n = s/den^2.  The order keeps L
-    for its units (`Order.units`)."""
+    when 4*D is an integer square s^2; then n = s/den^2."""
     p, mat, den = lat.alg.p, lat.mat, lat.den
     idx = 4 * lat._diag()
     s = isqrt(idx)
@@ -326,9 +325,7 @@ def _unit_order(lat: Lattice4, left: bool) -> "Order":
             raise ValueError("the candidate order does not act on the lattice")
     except ValueError as err:
         raise ValueError(f"not an ideal of a maximal order: {err}") from None
-    order = Order(o, _certified=True)
-    order._ideal = (lat, left)
-    return order
+    return Order(o, _certified=True)
 
 
 def left_order(lat: Lattice4) -> "Order":
@@ -353,18 +350,15 @@ class Order:
     automorphism.
 
     Its units and its trace-zero minimum are computed on first use and kept
-    on the object.  An order made by `left_order`/`right_order` keeps the
-    lattice it was made from (`_ideal`, with the side), from which `units`
-    reads its units.
+    on the object.
     """
 
-    __slots__ = ("lattice", "_units", "_trace_zero_min", "_ideal")
+    __slots__ = ("lattice", "_units", "_trace_zero_min")
 
     def __init__(self, lattice: Lattice4, *, _certified=False):
         self.lattice = lattice
         self._units = None
         self._trace_zero_min = None
-        self._ideal = None
         if _certified:
             return
         # basis element x = row/den: trace 2*row[0]/den, norm nrd(row)/den^2,
@@ -404,38 +398,15 @@ class Order:
     def units(self) -> list[Quaternion]:
         """All elements of reduced norm 1: 2, 4 or 6 of them, as p > 3.
 
-        For O = O_R(L), fix an element y of least reduced norm in L.  A unit
-        u gives y*u in L*O <= L with Nrd(y*u) = Nrd(y), so y*u is one of the
-        minimal vectors s of L, and u = y^-1*s.  Conversely a y^-1*s in O has
-        reduced norm 1, and an element of norm 1 of an order is a unit
-        (its inverse is its conjugate trd - x).  So the units are the
-        y^-1*s that pass the membership kernel; for O = O_L(L) they are
-        the s*y^-1.  An order made by `left_order`/`right_order` reads them
-        from the L it was made from, whose reduction KLPT shares for a
-        node's frame.  Any other order (O0, `Order(...)`, `conjugate_by`) is
-        its own L, as O_R(O) = O, and y = 1: its units are its minimal
-        vectors, in the order its reduction gives them.
+        The order contains 1 and its elements have integer reduced norms, so
+        its least nonzero norm is 1 and its minimal vectors are its units:
+        each with its negative, in the order its reduction gives them.
         """
         if self._units is None:
-            self._units = self._units_from_ideal(*(self._ideal or (self.lattice, False)))
+            lat = self.lattice
+            self._units = [Quaternion(self.alg, tuple(c * v for v in row), lat.den)
+                           for row in lat._minimal_rows() for c in (1, -1)]
         return self._units
-
-    def _units_from_ideal(self, lat: Lattice4, left: bool) -> list[Quaternion]:
-        """The units of O = O_L(lat) (left) or O_R(lat), as in `units`."""
-        p, alg = self.alg.p, self.alg
-        rows = lat._minimal_rows()
-        # 1 = (den, 0, 0, 0)/den is a minimal vector of the order's own lattice
-        y = (lat.den, 0, 0, 0) if lat is self.lattice else rows[0]
-        ybar = (y[0], -y[1], -y[2], -y[3])
-        # y^-1*s = conj(y)*s/Nrd(y): over lat.den the dens cancel, nrd(y) remains
-        ny = qnrd(y, p)
-        out = []
-        for s in rows:
-            u = qmul(s, ybar, p) if left else qmul(ybar, s, p)
-            if self.lattice._contains_rows((u,), ny):
-                out.append(Quaternion(alg, u, ny))
-                out.append(Quaternion(alg, tuple(-v for v in u), ny))
-        return out
 
     def trace_zero_minimum(self) -> Fraction:
         """Least reduced norm of a nonzero x - trd(x)/2 with x in the order.

@@ -22,6 +22,7 @@ from quatisom import (QuatAlgebra, base_node, isomorphism_completion,
                       low_discriminant_isomorphism, node_from_ideal, random_left_ideal,
                       standard_extremal_order, sum_kernel_ideal)
 from quatisom.cli import main
+from quatisom.homframe import _division_identity
 from quatisom.orders import Ideal, Lattice4, Order
 from quatisom.serialization import certificate_to_json, ideal_to_json
 
@@ -90,6 +91,30 @@ def test_forged_order_or_xi_is_rejected(completion):
     assert not replace(cert, i12=cert.i22).verify(o2)
     assert not replace(cert, i22=cert.i12).verify(o2)
     assert not replace(cert, i12=cert.i22, i22=cert.i12).verify(o2)
+
+
+@pytest.mark.parametrize("p", [103, 503, 1019])
+def test_doubled_xi_fails_only_the_norm_check(p):
+    # xi11, xi21 doubled and I12, I22 scaled by 2: the xi's stay in J11 and
+    # J21, and A*conj(2*I12) = O2*(2*xi11) still holds, so only the norm
+    # check Nrd(xi) = d11*d21*Nrd(I_psi) can reject it (Nrd(xi) is 4 times that)
+    alg = QuatAlgebra(p)
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 3)
+    res = low_discriminant_isomorphism(node_from_ideal(random_left_ideal(o0, 5, 3, rng)), 3, rng)
+    cert, o2 = res.certificate, res.matrix.m12.src.order
+    assert cert.verify(o2)
+    forged = replace(cert, xi11=cert.xi11 * 2, xi21=cert.xi21 * 2,
+                     i12=Ideal(cert.i12.lattice.scale(2)), i22=Ideal(cert.i22.lattice.scale(2)))
+    assert not forged.verify(o2)
+    xi = forged.xi11 * forged.d21 - forged.xi21 * forged.d11
+    assert xi.reduced_norm() == 4 * forged.d11 * forged.d21 * forged.i_psi.nrd()
+    psi_bar = forged.i_psi.conjugate().lattice
+    j11, j21 = psi_bar.mul(forged.i11.lattice), psi_bar.mul(forged.i21.lattice)
+    assert o2.is_maximal()
+    assert j11.contains(forged.xi11) and j21.contains(forged.xi21)
+    assert _division_identity(o2, j11, forged.i12.conjugate().lattice, forged.xi11)
+    assert _division_identity(o2, j21, forged.i22.conjugate().lattice, forged.xi21)
 
 
 def _verify_file(data: dict, path) -> int:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from quatisom import (Mor, Mor2x2, base_node, compose, dual, extend_node, hom_la
                       node_from_ideal, random_left_ideal, transpose)
 from quatisom.homframe import (VerificationError, add_mor, is_scalar_matrix,
                                kernel_ideal_equals, node_from_frame, scalar_mul)
+from quatisom.orders import Ideal
 
 
 def identity_mor(node):
@@ -128,6 +130,37 @@ def test_kernel_ideal_equals_matches_kernel_ideal(o0_103):
         assert not kernel_ideal_equals(f, ki.scale(2))
         assert not kernel_ideal_equals(scalar_mul(2, f), ki)
     assert not kernel_ideal_equals(zero_mor(nodes[0], nodes[1]), o0_103.lattice)
+
+
+def _left_ideals_of_norm_3(order):
+    """The four left ideals of reduced norm 3 of a maximal order: O*x + 3*O
+    for the x of O whose image in O/3O = Mat_2(F_3) is singular and nonzero."""
+    lat, out = order.lattice, []
+    three = lat.scale(3)
+    for coeffs in product(range(3), repeat=4):
+        x = sum((c * b for c, b in zip(coeffs, order.basis())), order.alg.zero())
+        if x.reduced_norm() % 3 == 0 and not three.contains(x):
+            ideal = Ideal(lat.rmul_q(x).add(three), left=order)
+            if ideal.nrd() == 3 and ideal not in out:
+                out.append(ideal)
+    return out
+
+
+def test_kernel_ideal_equals_divides_by_the_source_frame_norm(o0_103):
+    # the 16 generators of the kernel ideal are conj(F_src)*F_dst*elem/Nrd(F_src);
+    # without the division they span Nrd(F_src)*K = 27*K, which lies in every
+    # left ideal of norm 3, so the factor alone tells K from the other three
+    src = node_from_ideal(random_left_ideal(o0_103, 3, 3, random.Random(71)))
+    assert src.frame_norm() == 27
+    ideals = _left_ideals_of_norm_3(src.order)
+    assert len(ideals) == 4
+    k, others = ideals[0], ideals[1:]
+    _, f = extend_node(src, k)
+    assert kernel_ideal_equals(f, k.lattice)
+    conj_src, dst_frame = src.frame.conjugate().lattice, f.dst.frame.lattice
+    for other in others:
+        assert not kernel_ideal_equals(f, other.lattice)
+        assert other.lattice.contains_product(conj_src, dst_frame, f.elem)
 
 
 def test_node_from_frame(o0_103, alg103):

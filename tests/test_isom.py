@@ -5,14 +5,16 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
 
 import quatisom
-from quatisom import (CompletionPreconditionError, QuatAlgebra, SamplingBudgetError,
-                      VerificationError, base_node, equivalent_power_norm_ideal,
+from quatisom import (CompletionPreconditionError, Mor, Mor2x2, QuatAlgebra,
+                      SamplingBudgetError, VerificationError, base_node, dual,
+                      equivalent_power_norm_ideal, extend_node,
                       isom_g_products, isom_two_products, isomorphism_E0,
                       isomorphism_completion, kani_degree, kernel_ideal, local_generator,
                       low_discriminant_isomorphism, node_from_ideal, principal_ideal,
@@ -21,8 +23,8 @@ from quatisom import (CompletionPreconditionError, QuatAlgebra, SamplingBudgetEr
                       verify_ideal_quadruple)
 from quatisom import homframe, isom, orders
 from quatisom.homframe import transpose, mat_compose
-from quatisom.isom import (_bezout_split, _canonical_generator, _principal_generator,
-                           conjugating_elements, is_isomorphic_order)
+from quatisom.isom import (_bezout_split, _principal_generator, conjugating_elements,
+                           is_isomorphic_order)
 from quatisom.linalg import enumerate_up_to, lll_reduce
 from quatisom.orders import (Ideal, Lattice4, Order, connecting_ideal, multiply_ideals, nrd_gram,
                              two_sided_prime)
@@ -231,12 +233,11 @@ def test_lowdisc_base_target(alg103):
     base = base_node(alg103)
     res = low_discriminant_isomorphism(base, 3, random.Random(86))
     assert kani_degree(res.matrix) == 1
-    # d11 = d21 = 1, so jk = O0: xi is the unit the search keeps, as when
-    # the completion searches
+    # d11 = d21 = 1, so jk = O0: xi is a unit, one of those the search may keep
     cert = res.certificate
     assert cert.d11 == cert.d21 == 1
-    searched = isomorphism_completion(base, base, base, base, cert.i11, cert.i21)
-    assert searched.certificate == cert and searched.matrix == res.matrix
+    args = (base, base, base, base, cert.i11, cert.i21)
+    _assert_same_up_to_units(args, res, isomorphism_completion(*args))
 
 
 @pytest.mark.parametrize("ell", [2, 9, 103])
@@ -301,6 +302,80 @@ def test_verify_rejects_wrong_quadruple(example_p103, o0_103):
     rep = verify_ideal_quadruple(example_p103["I11"], example_p103["I21"],
                                  junk, example_p103["I22"])
     assert not rep.ok
+
+
+def _four_twist_quadruple(i11, i21, i12, i22):
+    """(ok, reason) of `verify_ideal_quadruple` with the search it had
+    before m12's right twist was dropped: e12 = u1*m12*w1 and
+    e22 = u2*m22*w2 over all four units."""
+    o1 = i11.left_order()
+    if i21.left_order() != o1:
+        return False, "I11 and I21 have different left orders"
+    if gcd(i11.nrd(), i21.nrd()) != 1:
+        return False, "column norms are not coprime"
+    o0 = standard_extremal_order(i11.alg)
+    n1 = base_node(i11.alg) if o1 == o0 else node_from_ideal(connecting_ideal(o0, o1))
+    n1p, m11 = extend_node(n1, i11)
+    n2p, m21 = extend_node(n1, i21)
+    n2, _ = extend_node(n1, sum_kernel_ideal(i11, i21))
+    cands = []
+    for name, x, o_r, src in (("I12", i12, i11.right_order(), n1p),
+                              ("I22", i22, i21.right_order(), n2p)):
+        found = [dual(Mor(src, n2, e)) for w in isom._realign_column_ideal(x, o_r)
+                 for e in [isom._solve_morphism_elem(src, n2, w)] if e is not None]
+        if not found:
+            return False, f"{name} is not realizable against the reconstructed quotient"
+        cands.append(found)
+    ws = n2.order.units()
+    for m12, m22 in product(*cands):
+        for u1, w1, u2, w2 in product(n1p.order.units(), ws, n2p.order.units(), ws):
+            mat = Mor2x2(m11=m11, m12=Mor(n2, n1p, u1 * m12.elem * w1),
+                         m21=m21, m22=Mor(n2, n2p, u2 * m22.elem * w2))
+            if kani_degree(mat) == 1:
+                return True, "isomorphism witnessed"
+    return False, "no automorphism combination reaches degree 1"
+
+
+@pytest.mark.parametrize("p", [103, 503])
+def test_quadruple_search_matches_the_four_twist_reference(p, request):
+    # twisting m12 on the right by a unit w of O2 as well as m22 is
+    # M*diag(1, w), of the degree of M, so the search skips it; verdicts and
+    # reasons must be the reference's on the fixture, on completion outputs
+    # of both routes, and on swapped, conjugated, cross-paired, non-coprime,
+    # scaled and junk quadruples
+    fixture = request.getfixturevalue(f"example_p{p}")
+    alg = fixture["alg"]
+    o0 = standard_extremal_order(alg)
+    rng = random.Random(p + 5)
+    fix = tuple(fixture[k] for k in ("I11", "I21", "I12", "I22"))
+    certs = []
+    for args, gens in (_pipeline_column(o0, rng), _lowdisc_column(o0, rng)):
+        certs.append(isomorphism_completion(*args, generators=gens).certificate)
+    i11, i21 = random_left_ideal(o0, 3, 2, rng), random_left_ideal(o0, 5, 2, rng)
+    n1 = base_node(alg)
+    certs.append(isomorphism_completion(n1, node_from_ideal(i11),
+                                        node_from_ideal(sum_kernel_ideal(i11, i21)),
+                                        node_from_ideal(i21), i11, i21).certificate)
+    quads = [fix, (fix[0], fix[1], fix[3], fix[2]),
+             (fix[0], fix[1], fix[2].conjugate(), fix[3]),
+             (fix[0], fix[1], random_left_ideal(o0, 7, 2, rng), fix[3]),
+             (fix[0], fix[0], fix[2], fix[3])]
+    for c in certs:
+        quads += [(c.i11, c.i21, c.i12, c.i22), (c.i11, c.i21, c.i22, c.i12),
+                  (c.i11, c.i21, c.i12.conjugate(), c.i22.conjugate())]
+    # where a scaled second-column ideal is realizable (by a multiple of the
+    # morphism), every twist has Kani degree > 1: the unit search runs out
+    for q in (fix, *((c.i11, c.i21, c.i12, c.i22) for c in certs)):
+        quads += [(q[0], q[1], Ideal(q[2].lattice.scale(2)), q[3]),
+                  (q[0], q[1], q[2], Ideal(q[3].lattice.scale(3)))]
+    quads += [(certs[0].i11, certs[0].i21, certs[1].i12, certs[1].i22),
+              (certs[2].i11, certs[2].i21, certs[0].i12, certs[2].i22)]
+    reasons = set()
+    for quad in quads:
+        rep = verify_ideal_quadruple(*quad)
+        assert (rep.ok, rep.reason) == _four_twist_quadruple(*quad)
+        reasons.add(rep.reason)
+    assert {"isomorphism witnessed", "no automorphism combination reaches degree 1"} <= reasons
 
 
 def test_isomorphism_E0(o0_103):
@@ -508,7 +583,7 @@ from fractions import Fraction
 if __debug__:
     sys.exit(3)  # not running under -O
 import quatisom.isom as isom
-from quatisom import QuatAlgebra, VerificationError, standard_extremal_order
+from quatisom import QuatAlgebra, VerificationError, base_node, standard_extremal_order
 from quatisom.serialization import ideal_from_json
 o0 = standard_extremal_order(QuatAlgebra(103))
 # 3*Z<1, i, j, k> has index 81 in O0, but its orders are Z<1, i, j, k>, not maximal
@@ -522,8 +597,9 @@ except ValueError:
     pass
 # O0*(3 + 4i)/5 has the covolume of O0 but is not O0
 g = o0.alg.quaternion(Fraction(3, 5), Fraction(4, 5))
+base = base_node(o0.alg)
 try:
-    isom._known_generator(o0.lattice, o0, o0.lattice, g)
+    isom._known_morphism_elem(base, base, o0.one_ideal(), g)
     sys.exit(2)
 except VerificationError:
     sys.exit(0)
@@ -546,7 +622,7 @@ def test_pipelines_call_no_generic_solver(monkeypatch, o0_103):
     # and J21, and none on the low-discriminant route, where I_psi = O0 acts
     # on I11 and I21.  It makes at most 2 HNF reductions in all, the
     # lattices it keeps (J11 and J21, or I12 and I22): conjugates, products
-    # by a rational xi (every general-route xi at this seed), the division
+    # by a rational xi (the general route's xi is the scalar d11*d21), the division
     # identities and the generator checks take none, jk and O2*xi are never
     # built, and the orders of I11, I21, I12 and I22 are left to first use.
     # So a check that repeats the certificate's or reduces a lattice it
@@ -628,22 +704,43 @@ def _lowdisc_column(o0, rng, ell=3):
     return (base, node, base, base, i11, principal_ideal(o0, x)), gens
 
 
+def _assert_same_up_to_units(args, given, searched):
+    """What a completion from given generators shares with the search's
+    on the same column: each generator is unique up to a unit of its order,
+    so the ideals, norms and first-column kernels agree, and b11, b21 and
+    xi11 differ by units of O(n1'), O(n2') and O2."""
+    n1p, n2, n2p = args[1], args[2], args[3]
+    for res in (given, searched):
+        assert kani_degree(res.matrix) == 1
+        assert res.certificate.verify(n2.order)
+    g, s = given.certificate, searched.certificate
+    assert (g.i11, g.i21, g.i_psi, g.d11, g.d21) == (s.i11, s.i21, s.i_psi, s.d11, s.d21)
+    assert kernel_ideal(given.matrix.m11) == kernel_ideal(searched.matrix.m11)
+    assert kernel_ideal(given.matrix.m21) == kernel_ideal(searched.matrix.m21)
+    for x, y, order in ((given.matrix.m11.elem, searched.matrix.m11.elem, n1p.order),
+                        (given.matrix.m21.elem, searched.matrix.m21.elem, n2p.order),
+                        (g.xi11, s.xi11, n2.order)):
+        assert x * y.inverse() in order.units()
+
+
 def test_completion_from_generators_matches_search(o0_103):
     args, gens = _pipeline_column(o0_103, random.Random(95))
     searched = isomorphism_completion(*args)
     given = isomorphism_completion(*args, generators=gens)
-    assert given.matrix == searched.matrix
-    assert given.certificate == searched.certificate
-    # -1 is a unit of every order, so it normalizes away
+    _assert_same_up_to_units(args, given, searched)
+    # -1 is a unit of every order: the flipped generators are used as given
     flipped = isomorphism_completion(*args, generators=tuple(-g for g in gens))
-    assert flipped.certificate == searched.certificate
+    _assert_same_up_to_units(args, flipped, searched)
+    assert flipped.certificate.xi11 == -given.certificate.xi11
+    assert flipped.matrix.m11.elem == -given.matrix.m11.elem
 
 
 @pytest.mark.parametrize("p", [103, 503, 1019])
 def test_closed_form_xi_matches_search(monkeypatch, p):
     # on both routes the pipelines know xi (the scalar d11*d21 on the
     # general route, alpha*x on the low-discriminant one), so completion
-    # searches nothing; its output must be what the search finds
+    # searches nothing; its output must be what the search finds, up to
+    # units
     o0 = standard_extremal_order(QuatAlgebra(p))
     rng = random.Random(p)
 
@@ -656,8 +753,7 @@ def test_closed_form_xi_matches_search(monkeypatch, p):
             patch.setattr(isom, "_principal_generator", forbidden)
             given = isomorphism_completion(*args, generators=gens)
         searched = isomorphism_completion(*args)
-        assert given.certificate == searched.certificate
-        assert given.matrix == searched.matrix
+        _assert_same_up_to_units(args, given, searched)
         # I12 and I22 are the closed form of the reference division, conjugated
         cert = given.certificate
         psi_bar = cert.i_psi.conjugate()
@@ -724,7 +820,7 @@ def test_containment_checks_match_the_reduced_lattices(p):
                 isomorphism_completion(*args, generators=(gens[0], gens[1], h))
 
 
-def test_swapped_certificate_fails_with_warm_product_memo(o0_103):
+def test_swapped_certificate_fails_right_after_its_completion(o0_103):
     # right after its completion, the benchmark's negative control (I12
     # replaced by I22) must be rejected
     res = low_discriminant_isomorphism(node_from_ideal(random_left_ideal(o0_103, 5, 3,
@@ -778,31 +874,6 @@ def _random_quaternion(alg, rng):
             return q
 
 
-@pytest.mark.parametrize("p", [103, 503, 1019])
-def test_canonical_generator_matches_search(p):
-    alg = QuatAlgebra(p)
-    o0 = standard_extremal_order(alg)
-    rng = random.Random(p)
-    orders_ = [o0]
-    for _ in range(6):
-        orders_.append(random_left_ideal(o0, 3, 4, rng).right_order())
-    for _ in range(3):
-        # conjugates of O0 keep its four units
-        a = _random_quaternion(alg, rng)
-        orders_.append(Order(o0.lattice.lmul_q(a.inverse()).rmul_q(a)))
-    unit_counts = {len(o.units()) for o in orders_}
-    assert {2, 4} <= unit_counts
-    for order in orders_:
-        for _ in range(4):
-            g = _random_quaternion(alg, rng)
-            expected = _principal_generator(order.lattice.rmul_q(g), order)
-            assert _canonical_generator(order, g) == expected
-        # a unit generates the order itself: the search keeps one of its units
-        kept_unit = _principal_generator(order.lattice, order)
-        for u in order.units():
-            assert _canonical_generator(order, u) == kept_unit
-
-
 # a left O0-ideal of norm 3^5 at p = 503 whose right order contains a cube
 # root of unity: the order of the curve with j = 0, with 6 units
 _J0_FRAME_503 = ([[1, 0, 334, 207], [0, 1, 279, 334], [0, 0, 486, 0], [0, 0, 0, 486]], 2)
@@ -822,12 +893,11 @@ def _norm_one_elements(lat):
 
 
 @pytest.mark.parametrize("p", [103, 503, 1019])
-def test_units_from_the_ideal_match_the_norm_one_search(p):
-    """`units()` reads the minimal vectors of the lattice an order was made
-    from, or of its own lattice for O0, `Order(...)` and `conjugate_by`; it
-    must give the set that the search for elements of norm 1 in the order
-    gives, and `_canonical_generator` must still pick what
-    `_principal_generator` finds."""
+def test_units_match_the_norm_one_search(p):
+    """`units()` reads the minimal vectors of the order's own lattice; for
+    orders made by `right_order`/`left_order`, O0, `Order(...)` and
+    `conjugate_by` it must give the set that the search for elements of
+    norm 1 in the order gives."""
     alg = QuatAlgebra(p)
     o0 = standard_extremal_order(alg)
     rng = random.Random(p + 7)
@@ -842,18 +912,12 @@ def test_units_from_the_ideal_match_the_norm_one_search(p):
     if p == 503:
         rows, den = _J0_FRAME_503
         special = conjugates + [orders.right_order(Lattice4(alg, rows, den))]
-    # orders with no source ideal: O0, a public Order(...), a conjugate_by order
+    # orders made otherwise: O0, a public Order(...), a conjugate_by order
     own = [o0, Order(made[0].lattice), o0.conjugate_by(_random_quaternion(alg, rng))]
-    assert all(o._ideal is not None for o in made + special)
-    assert all(o._ideal is None for o in own)
     for order in made + special + own:
         units = order.units()
         assert len(units) == len(set(units))
         assert set(units) == set(_norm_one_elements(order.lattice))
-        for _ in range(3):
-            g = _random_quaternion(alg, rng)
-            expected = _principal_generator(order.lattice.rmul_q(g), order)
-            assert _canonical_generator(order, g) == expected
     assert {len(o.units()) for o in made} <= {2, 4, 6}
     assert [len(o.units()) for o in special] == [4, 4] + [6] * (p == 503)
     assert [len(o.units()) for o in own] == [4, len(made[0].units()), 4]
